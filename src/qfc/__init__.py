@@ -57,6 +57,7 @@ from .forms import (
     QuadraticForm,
     Transformation,
     automorph_from_unit,
+    count_cycles_q,
     enumerate_classes_q,
     reduce_form_q,
     root_transport_check,

@@ -404,6 +404,29 @@ def _abs_emb_cmp(u: BaseElement, v: BaseElement) -> int:
     return d.sign_at(0)
 
 
+def _unit_slide(x: BaseElement, unit: BaseElement, unit_inv: BaseElement):
+    """The multiples x * unit^k minimizing |sigma_1| + |sigma_2|, as pairs
+    (y, k): one pair, or two on a tie, in a fixed order.
+
+    The sum is strictly convex in k; T(y*unit) < T(y) iff
+    |sigma_1(y*unit)| < |sigma_2(y)|, so walk toward smaller sums first with
+    unit, then with unit_inv, then compare with both neighbours.
+    """
+    y, k = x, 0
+    up = y * unit
+    while _abs_emb_cmp(up, y) < 0:
+        y, up, k = up, up * unit, k + 1
+    down = y * unit_inv
+    while _abs_emb_cmp(y, down) > 0:
+        y, up, down, k = down, y, down * unit_inv, k - 1
+    candidates = [(y, k)]
+    if _abs_emb_cmp(up, y) == 0:
+        candidates.append((up, k + 1))
+    if _abs_emb_cmp(y, down) == 0:
+        candidates.append((down, k - 1))
+    return candidates
+
+
 def canonical_associate(x: BaseElement) -> BaseElement:
     """The canonical unit multiple of x; deterministic per associate class.
 
@@ -426,19 +449,8 @@ def canonical_associate(x: BaseElement) -> BaseElement:
             y = y * i_unit
         raise AssertionError("unreachable")
     eps = f.fundamental_unit
-    eps_inv = f.one / eps
-    y = x
-    # T(y*eps) < T(y)  iff  |sigma_1(y*eps)| < |sigma_2(y)|
-    while _abs_emb_cmp(y * eps, y) < 0:
-        y = y * eps
-    while _abs_emb_cmp(y, y * eps_inv) > 0:
-        y = y * eps_inv
-    candidates = [y]
-    if _abs_emb_cmp(y * eps, y) == 0:
-        candidates.append(y * eps)
-    if _abs_emb_cmp(y, y * eps_inv) == 0:
-        candidates.append(y * eps_inv)
-    fixed = [c if c.sign_at(0) > 0 else -c for c in candidates]
+    candidates = _unit_slide(x, eps, f.one / eps)
+    fixed = [c if c.sign_at(0) > 0 else -c for c, _ in candidates]
     return min(fixed, key=lambda c: (c.c0, c.c1))
 
 

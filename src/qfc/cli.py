@@ -83,12 +83,14 @@ def build_parser() -> _Parser:
 
 
 def _load_ideal_arg(text: str):
-    if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            return json.load(fh)
     try:
+        if text.startswith("@"):
+            with open(text[1:], "r", encoding="utf-8") as fh:
+                text = fh.read()
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ParseError(f"cannot read ideal file: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ParseError(f"bad ideal JSON: {exc}") from exc
 
 
@@ -110,7 +112,11 @@ def _run(args) -> tuple[int, dict]:
     base = field(args.base)
     bound = args.bound
     if bound is None:
-        bound = int(os.environ.get("QFC_BOUND", DEFAULT_BOUND))
+        env = os.environ.get("QFC_BOUND", str(DEFAULT_BOUND))
+        try:
+            bound = int(env)
+        except ValueError as exc:
+            raise ParseError(f"QFC_BOUND must be an integer, got {env!r}") from exc
 
     if args.command == "phi":
         ext = make_extension(base, serialize.parse_k_coord(base, args.d))

@@ -11,18 +11,18 @@ positive unit} and normalize internally to a canonical fundamental D.
 
 from collections import namedtuple
 from fractions import Fraction
-from math import isqrt
 
 from .base_field import (
     BaseElement,
     Field,
-    _abs_emb_cmp,
+    _unit_slide,
     is_fundamental,
     unit_decompose,
 )
 from .base_field import Q as _Q
 from .contfrac import fundamental_unit_xy
 from .errors import (
+    DiscriminantMismatch,
     DiscriminantNotInClass,
     DiscriminantNotTotallyNegative,
     NotFundamental,
@@ -31,14 +31,8 @@ from .errors import (
     WrongBase,
 )
 from .extension import Extension, ExtElement, make_extension
-from .forms import QuadraticForm, enumerate_classes_q
-from .ideals import (
-    IdealBasis,
-    OrientedIdeal,
-    ideal_mul,
-    module_equivalent_q,
-    reduce_generators,
-)
+from .forms import QuadraticForm, count_cycles_q, enumerate_classes_q
+from .ideals import IdealBasis, OrientedIdeal, ideal_mul
 
 
 def tp_unit_sqrt(field: Field, ratio: BaseElement):
@@ -82,16 +76,8 @@ def canonical_disc(field: Field, d: BaseElement):
             return d, field.one
         return -d, field.omega
     eps4 = field.fundamental_unit ** 4
-    y, k = d, 0
-    while _abs_emb_cmp(y * eps4, y) < 0:
-        y, k = y * eps4, k + 1
-    while _abs_emb_cmp(y, y / eps4) > 0:
-        y, k = y / eps4, k - 1
-    candidates = [(y, k)]
-    if _abs_emb_cmp(y * eps4, y) == 0:
-        candidates.append((y * eps4, k + 1))
-    if _abs_emb_cmp(y, y / eps4) == 0:
-        candidates.append((y / eps4, k - 1))
+    # N(eps^4) = 1, so its inverse is its conjugate
+    candidates = _unit_slide(d, eps4, eps4.conj())
     d_star, k = min(candidates, key=lambda c: (c[0].c0, c[0].c1))
     # d = d_star * eps^{4(-k)} ... track the exponent back to d
     u = field.fundamental_unit ** (-2 * k)
@@ -114,7 +100,10 @@ def phi(a: OrientedIdeal) -> QuadraticForm:
     coeff_b = -(mid + mid) / det
     coeff_c = beta.norm() / det
     q = QuadraticForm(basis.ext.base, coeff_a, coeff_b, coeff_c)
-    assert q.disc() == basis.ext.d and q.is_primitive()
+    if q.disc() != basis.ext.d:
+        raise DiscriminantMismatch("phi image has the wrong discriminant")
+    if not q.is_primitive():
+        raise NotPrimitive("phi image is not primitive")
     return q
 
 
@@ -205,74 +194,15 @@ def tpd_sign_check(a: OrientedIdeal, i: int):
 OclReport = namedtuple("OclReport", ["case", "h", "ocl_order", "unit", "unit_norm"])
 
 
-def _prime_ideals_q(ext: Extension, ell: int) -> list[IdealBasis]:
-    """Degree-one prime ideals of O_L above the rational prime ell (split or
-    ramified); inert primes are principal and contribute no new classes."""
-    D = int(ext.d.c0)
-    out = []
-    for b in range(0, 2 * ell):
-        if (b * b - D) % (4 * ell) == 0:
-            alpha = ext.from_base(ext.base(ell))
-            beta = ext.element(Fraction(-b, 2), Fraction(1, 2))
-            cand = IdealBasis(alpha, beta)
-            if not any(cand.same_module(seen) for seen in out):
-                out.append(cand)
-    return out
-
-
-def _ideals_up_to_norm(ext: Extension, bound: int) -> list[IdealBasis]:
-    """All integral ideals of norm <= bound built from degree-one primes,
-    plus O_L itself; inert-prime multiples are principal and redundant for
-    class representatives."""
-    unit_ideal = IdealBasis(ext.one, ext.omega)
-    primes = []
-    for ell in range(2, bound + 1):
-        if all(ell % p != 0 for p in range(2, isqrt(ell) + 1)):
-            for p in _prime_ideals_q(ext, ell):
-                primes.append((ell, p))
-    found = [(1, unit_ideal)]
-    frontier = [(1, unit_ideal)]
-    while frontier:
-        nrm, ideal = frontier.pop()
-        for ell, p in primes:
-            if nrm * ell > bound:
-                continue
-            prod = reduce_generators(
-                [
-                    ideal.alpha * p.alpha,
-                    ideal.alpha * p.beta,
-                    ideal.beta * p.alpha,
-                    ideal.beta * p.beta,
-                ],
-                ext,
-            )
-            if not any(prod.same_module(seen) for _, seen in found):
-                found.append((nrm * ell, prod))
-                frontier.append((nrm * ell, prod))
-    return [ideal for _, ideal in found]
-
-
-def _class_number_real_q(ext: Extension) -> int:
-    """Class number of Q(sqrt D), D > 0, by classifying the integral ideals
-    below the Minkowski bound with the complete principality test."""
-    D = int(ext.d.c0)
-    bound = isqrt(D // 4) if D >= 4 else 1
-    ideals = _ideals_up_to_norm(ext, max(bound, 1))
-    classes: list[IdealBasis] = []
-    for ideal in ideals:
-        if not any(module_equivalent_q(ideal, rep) for rep in classes):
-            classes.append(ideal)
-    return len(classes)
-
-
 def ocl_structure_q(d) -> OclReport:
     """Structure of the relative oriented class group for base Q.
 
     Case 1 (D < 0): OCl = Cl x {+-1}, order 2h.  Case 2 (D > 0, all unit
     norms +1): order 2h.  Case 3 (D > 0 with a norm -1 unit): order h.
-    h comes from reduced-form enumeration (D < 0) or ideal classification
-    below the Minkowski bound (D > 0); the unit norm from the continued
-    fraction of the square root.
+    h comes from reduced-form enumeration (D < 0) or from the number h+ of
+    cycles of reduced indefinite forms (D > 0), which is the order of OCl
+    and equals h in case 3 and 2h in case 2; the unit norm comes from the
+    continued fraction of the square root.
     """
     if isinstance(d, BaseElement):
         if not d.field.is_rational:
@@ -289,7 +219,7 @@ def ocl_structure_q(d) -> OclReport:
     ext = make_extension(_Q, d)
     X, Y, nsign = fundamental_unit_xy(d_int)
     unit = ext.element(Fraction(X, 2), Fraction(Y, 2))
-    h = _class_number_real_q(ext)
+    h_plus = count_cycles_q(d_int)
     if nsign == -1:
-        return OclReport(case=3, h=h, ocl_order=h, unit=unit, unit_norm=-1)
-    return OclReport(case=2, h=h, ocl_order=2 * h, unit=unit, unit_norm=1)
+        return OclReport(case=3, h=h_plus, ocl_order=h_plus, unit=unit, unit_norm=-1)
+    return OclReport(case=2, h=h_plus // 2, ocl_order=h_plus, unit=unit, unit_norm=1)

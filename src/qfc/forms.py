@@ -5,8 +5,9 @@ positive unit, together with scaling by a totally positive unit; over a
 base field that is not totally real this is strictly coarser than
 determinant-1 equivalence.  Class identity over quadratic base fields is
 certified through the ideal side; here we provide the transformations,
-automorphs, witness verification, and the classical reduction and class
-enumeration over Q (which serve as oracles for the correspondence).
+automorphs, witness verification, and the classical reduction, class
+enumeration and cycle count over Q (which serve as oracles for the
+correspondence and give the class numbers of the structure reports).
 """
 
 from math import gcd, isqrt
@@ -165,7 +166,8 @@ def automorph_from_unit(q: QuadraticForm, mu: ExtElement):
     r0 = q.a * v
     s0 = (u + q.b * v) / 2
     quad = (p0, q0, r0, s0)
-    assert all(w.is_integral() for w in quad)
+    if not all(w.is_integral() for w in quad):
+        raise NotIntegral("automorph entries must lie in O_K")
     return quad
 
 
@@ -280,3 +282,51 @@ def enumerate_classes_q(d) -> list[QuadraticForm]:
             out.append(QuadraticForm(_Q, a, b, c))
     out.sort(key=lambda f: (f.a.c0, f.b.c0, f.c.c0))
     return out
+
+
+def _rho(a, b, c, d, s):
+    """One reduction step (a, b, c) -> (c, b', c') on a reduced indefinite
+    form, with b' the largest integer below sqrt(d) congruent to -b mod 2|c|."""
+    b2 = s - (s + b) % (2 * abs(c))
+    return c, b2, (b2 * b2 - d) // (4 * c)
+
+
+def count_cycles_q(d) -> int:
+    """Number of cycles of reduced primitive indefinite forms of
+    discriminant d > 0 over Q, which is the narrow class number h+.
+
+    (a, b, c) is reduced when 0 < b < sqrt(d) and
+    sqrt(d) - b < 2|a| < sqrt(d) + b; with s = isqrt(d) and d not a square
+    these read b <= s and s - b < 2|a| <= s + b, exactly.  The step
+    (a, b, c) -> (c, b', c') permutes the reduced forms, and its cycles are
+    the proper equivalence classes (Buchmann & Vollmer, ch. 6; Cohen,
+    GTM 138, 5.6).
+    """
+    if isinstance(d, BaseElement):
+        if not d.field.is_rational:
+            raise WrongBase("cycle counting is implemented over Q only")
+        d = int(d.c0)
+    if d <= 0 or isqrt(d) ** 2 == d:
+        raise ValueError("cycle counting needs a positive non-square d")
+    s = isqrt(d)
+    if d % 4 not in (0, 1):
+        return 0
+    reduced = set()
+    for b in range(2 - d % 2, s + 1, 2):
+        n = (d - b * b) // 4  # = -a c
+        for a in range((s - b) // 2 + 1, (s + b) // 2 + 1):
+            if n % a:
+                continue
+            c = n // a
+            if gcd(gcd(a, b), c) == 1:
+                reduced.add((a, b, -c))
+                reduced.add((-a, b, c))
+    cycles = 0
+    while reduced:
+        start = reduced.pop()
+        form = _rho(*start, d, s)
+        while form != start:
+            reduced.remove(form)
+            form = _rho(*form, d, s)
+        cycles += 1
+    return cycles

@@ -246,18 +246,19 @@ def principal_oriented(gamma: ExtElement) -> OrientedIdeal:
     return OrientedIdeal(basis, eps)
 
 
+def _product_basis(x: IdealBasis, y: IdealBasis) -> IdealBasis:
+    """Reduced basis of the product module, spanned by the four pairwise
+    products of the two bases."""
+    gens = [x.alpha * y.alpha, x.alpha * y.beta, x.beta * y.alpha, x.beta * y.beta]
+    return reduce_generators(gens, x.ext)
+
+
 def ideal_mul(a: OrientedIdeal, b: OrientedIdeal) -> OrientedIdeal:
     """Product ideal with componentwise sign vector, basis unit-adjusted so
     that its orientation equals the sign vector."""
     if a.ext != b.ext:
         raise ExtensionMismatch("oriented ideals over different extensions")
-    gens = [
-        a.basis.alpha * b.basis.alpha,
-        a.basis.alpha * b.basis.beta,
-        a.basis.beta * b.basis.alpha,
-        a.basis.beta * b.basis.beta,
-    ]
-    basis = reduce_generators(gens, a.ext)
+    basis = _product_basis(a.basis, b.basis)
     eps = tuple(x * y for x, y in zip(a.eps, b.eps))
     return OrientedIdeal(basis, eps).align()
 
@@ -271,14 +272,7 @@ UNKNOWN = "unknown"
 
 def _quotient_module(a: OrientedIdeal, b: OrientedIdeal) -> IdealBasis:
     """The fractional ideal J * I^{-1} (gamma ranges over its generators)."""
-    inv = a.basis.conj_negated()
-    gens = [
-        b.basis.alpha * inv.alpha,
-        b.basis.alpha * inv.beta,
-        b.basis.beta * inv.alpha,
-        b.basis.beta * inv.beta,
-    ]
-    prod = reduce_generators(gens, a.ext)
+    prod = _product_basis(b.basis, a.basis.conj_negated())
     det_a = a.basis.det_m()
     return prod.scale(a.ext.base.one / det_a)
 
@@ -406,10 +400,3 @@ def oriented_equivalent(
         if witness_ok(gamma):
             return EquivalenceResult(EQUIVALENT, gamma)
     return EquivalenceResult(UNKNOWN, None)
-
-
-def module_equivalent_q(a: IdealBasis, b: IdealBasis) -> bool:
-    """Unoriented ideal equivalence over base Q (complete)."""
-    eps = (1,) * a.ext.base.r
-    quotient = _quotient_module(OrientedIdeal(a, eps), OrientedIdeal(b, eps))
-    return principal_generator_q(quotient) is not None

@@ -24,6 +24,8 @@ def rational_to_str(f: Fraction) -> str:
 
 
 def rational_from_str(s: str) -> Fraction:
+    if not isinstance(s, str):
+        raise ParseError(f"rational must be a string 'p/q', got {type(s).__name__}")
     try:
         return Fraction(s.strip())
     except (ValueError, ZeroDivisionError) as exc:

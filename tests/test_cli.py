@@ -113,6 +113,43 @@ class TestExitCodes:
         assert json.loads(out)["error"] == "square_input"
 
 
+class TestErrorContract:
+    """Unreadable or malformed input ends in the parse_error object, exit 1."""
+
+    def assert_parse_error(self, code, out):
+        assert code == 1
+        report = json.loads(out)
+        assert report["error"] == "parse_error"
+        assert out == json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+
+    def test_missing_ideal_file(self, capsys, tmp_path):
+        path = tmp_path / "missing.json"
+        self.assert_parse_error(*run_cli(
+            capsys, "phi", "--base", "q", "--d", "-4", "--ideal", f"@{path}"
+        ))
+
+    def test_bad_json_in_ideal_file(self, capsys, tmp_path):
+        path = tmp_path / "ideal.json"
+        path.write_text('{"alpha": {"x": ')
+        self.assert_parse_error(*run_cli(
+            capsys, "phi", "--base", "q", "--d", "-4", "--ideal", f"@{path}"
+        ))
+
+    def test_numeric_coordinate(self, capsys):
+        _, report = run_json(capsys, "psi", "--base", "q", "--form", "1,0,1")
+        report["ideal"]["alpha"]["x"]["c0"] = 1
+        self.assert_parse_error(*run_cli(
+            capsys, "phi", "--base", "q", "--d", "-4",
+            "--ideal", json.dumps(report["ideal"]),
+        ))
+
+    def test_bad_env_bound(self, capsys, monkeypatch):
+        monkeypatch.setenv("QFC_BOUND", "abc")
+        self.assert_parse_error(*run_cli(
+            capsys, "identity", "--base", "q", "--d", "-4"
+        ))
+
+
 class TestDeterminism:
     def test_json_stable(self, capsys):
         _, out1 = run_cli(capsys, "oclcheck", "--base", "q", "--d", "40",

@@ -1,6 +1,7 @@
 """Phi/Psi, composition, round trips, sign conditions, structure reports."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -14,6 +15,7 @@ from qfc import (
     EQUIVALENT,
     DiscriminantNotInClass,
     DiscriminantNotTotallyNegative,
+    DomainError,
     IdealBasis,
     NotFundamental,
     NotPrimitive,
@@ -32,6 +34,7 @@ from qfc import (
     identity_form,
     ideal_mul,
     inverse_form,
+    is_fundamental,
     make_extension,
     ocl_structure_q,
     oriented_equivalent,
@@ -78,6 +81,13 @@ class TestPhi:
             phi(a)
         # the (-1)-oriented unit ideal maps to the negative definite twin
         assert phi(a.align()) == QuadraticForm(Q, -1, 1, -6)
+
+    def test_imprimitive_image_is_domain_error(self, monkeypatch):
+        # the invariant check must survive python -O, so it is no assert
+        monkeypatch.setattr(QuadraticForm, "is_primitive", lambda self: False)
+        a = OrientedIdeal(IdealBasis(E23.one, E23.omega), (1,))
+        with pytest.raises(DomainError):
+            phi(a)
 
     def test_disc_exact(self, rng):
         for ext in (E23, E4, E5N4):
@@ -371,14 +381,72 @@ class TestOclStructure:
         # norm -1
         table = {5: (1, 3), 8: (1, 3), 13: (1, 3), 17: (1, 3), 21: (1, 2),
                  24: (1, 2), 28: (1, 2), 60: (2, 2), 65: (2, 3), 85: (2, 3),
-                 104: (2, 3), 136: (2, 2), 229: (3, 3)}
+                 104: (2, 3), 136: (2, 2), 229: (3, 3),
+                 # fundamental units of 40 and 71 digits
+                 7001: (1, 3), 10009: (1, 3)}
         for d, (h, case) in table.items():
             rep = ocl_structure_q(d)
             assert (rep.h, rep.case) == (h, case), d
             assert rep.ocl_order == (h if case == 3 else 2 * h)
+            assert rep.unit_norm == (-1 if case == 3 else 1)
+
+    def test_frozen_real_table(self):
+        # every fundamental 5 <= D < 481, and 649, as the earlier
+        # classification of ideals below the Minkowski bound reported them
+        fundamental = {
+            d for d in range(5, 481)
+            if d % 4 in (0, 1) and isqrt(d) ** 2 != d and is_fundamental(Q(d))
+        }
+        assert set(REAL_TABLE) == fundamental | {649}
+        for d, row in REAL_TABLE.items():
+            rep = ocl_structure_q(d)
+            assert (rep.case, rep.h, rep.ocl_order, rep.unit_norm) == row, d
 
     def test_rejects(self):
         with pytest.raises(NotFundamental):
             ocl_structure_q(-21)
         with pytest.raises(WrongBase):
             ocl_structure_q(QS5(-4))
+
+
+# (case, h, ocl_order, unit_norm) per fundamental D > 0
+REAL_TABLE = {
+    5: (3, 1, 1, -1), 8: (3, 1, 1, -1), 12: (2, 1, 2, 1), 13: (3, 1, 1, -1),
+    17: (3, 1, 1, -1), 21: (2, 1, 2, 1), 24: (2, 1, 2, 1), 28: (2, 1, 2, 1),
+    29: (3, 1, 1, -1), 33: (2, 1, 2, 1), 37: (3, 1, 1, -1), 40: (3, 2, 2, -1),
+    41: (3, 1, 1, -1), 44: (2, 1, 2, 1), 53: (3, 1, 1, -1), 56: (2, 1, 2, 1),
+    57: (2, 1, 2, 1), 60: (2, 2, 4, 1), 61: (3, 1, 1, -1), 65: (3, 2, 2, -1),
+    69: (2, 1, 2, 1), 73: (3, 1, 1, -1), 76: (2, 1, 2, 1), 77: (2, 1, 2, 1),
+    85: (3, 2, 2, -1), 88: (2, 1, 2, 1), 89: (3, 1, 1, -1), 92: (2, 1, 2, 1),
+    93: (2, 1, 2, 1), 97: (3, 1, 1, -1), 101: (3, 1, 1, -1), 104: (3, 2, 2, -1),
+    105: (2, 2, 4, 1), 109: (3, 1, 1, -1), 113: (3, 1, 1, -1), 120: (2, 2, 4, 1),
+    124: (2, 1, 2, 1), 129: (2, 1, 2, 1), 133: (2, 1, 2, 1), 136: (2, 2, 4, 1),
+    137: (3, 1, 1, -1), 140: (2, 2, 4, 1), 141: (2, 1, 2, 1), 145: (3, 4, 4, -1),
+    149: (3, 1, 1, -1), 152: (2, 1, 2, 1), 156: (2, 2, 4, 1), 157: (3, 1, 1, -1),
+    161: (2, 1, 2, 1), 165: (2, 2, 4, 1), 168: (2, 2, 4, 1), 172: (2, 1, 2, 1),
+    173: (3, 1, 1, -1), 177: (2, 1, 2, 1), 181: (3, 1, 1, -1), 184: (2, 1, 2, 1),
+    185: (3, 2, 2, -1), 188: (2, 1, 2, 1), 193: (3, 1, 1, -1), 197: (3, 1, 1, -1),
+    201: (2, 1, 2, 1), 204: (2, 2, 4, 1), 205: (2, 2, 4, 1), 209: (2, 1, 2, 1),
+    213: (2, 1, 2, 1), 217: (2, 1, 2, 1), 220: (2, 2, 4, 1), 221: (2, 2, 4, 1),
+    229: (3, 3, 3, -1), 232: (3, 2, 2, -1), 233: (3, 1, 1, -1), 236: (2, 1, 2, 1),
+    237: (2, 1, 2, 1), 241: (3, 1, 1, -1), 248: (2, 1, 2, 1), 249: (2, 1, 2, 1),
+    253: (2, 1, 2, 1), 257: (3, 3, 3, -1), 264: (2, 2, 4, 1), 265: (3, 2, 2, -1),
+    268: (2, 1, 2, 1), 269: (3, 1, 1, -1), 273: (2, 2, 4, 1), 277: (3, 1, 1, -1),
+    280: (2, 2, 4, 1), 281: (3, 1, 1, -1), 284: (2, 1, 2, 1), 285: (2, 2, 4, 1),
+    293: (3, 1, 1, -1), 296: (3, 2, 2, -1), 301: (2, 1, 2, 1), 305: (2, 2, 4, 1),
+    309: (2, 1, 2, 1), 312: (2, 2, 4, 1), 313: (3, 1, 1, -1), 316: (2, 3, 6, 1),
+    317: (3, 1, 1, -1), 321: (2, 3, 6, 1), 328: (3, 4, 4, -1), 329: (2, 1, 2, 1),
+    332: (2, 1, 2, 1), 337: (3, 1, 1, -1), 341: (2, 1, 2, 1), 344: (2, 1, 2, 1),
+    345: (2, 2, 4, 1), 348: (2, 2, 4, 1), 349: (3, 1, 1, -1), 353: (3, 1, 1, -1),
+    357: (2, 2, 4, 1), 364: (2, 2, 4, 1), 365: (3, 2, 2, -1), 373: (3, 1, 1, -1),
+    376: (2, 1, 2, 1), 377: (2, 2, 4, 1), 380: (2, 2, 4, 1), 381: (2, 1, 2, 1),
+    385: (2, 2, 4, 1), 389: (3, 1, 1, -1), 393: (2, 1, 2, 1), 397: (3, 1, 1, -1),
+    401: (3, 5, 5, -1), 408: (2, 2, 4, 1), 409: (3, 1, 1, -1), 412: (2, 1, 2, 1),
+    413: (2, 1, 2, 1), 417: (2, 1, 2, 1), 421: (3, 1, 1, -1), 424: (3, 2, 2, -1),
+    428: (2, 1, 2, 1), 429: (2, 2, 4, 1), 433: (3, 1, 1, -1), 437: (2, 1, 2, 1),
+    440: (2, 2, 4, 1), 444: (2, 2, 4, 1), 445: (3, 4, 4, -1), 449: (3, 1, 1, -1),
+    453: (2, 1, 2, 1), 456: (2, 2, 4, 1), 457: (3, 1, 1, -1), 460: (2, 2, 4, 1),
+    461: (3, 1, 1, -1), 465: (2, 2, 4, 1), 469: (2, 3, 6, 1), 472: (2, 1, 2, 1),
+    473: (2, 3, 6, 1), 476: (2, 2, 4, 1), 649: (2, 1, 2, 1),
+
+}

@@ -17,6 +17,7 @@ from qfc import (
     Transformation,
     WrongBase,
     automorph_from_unit,
+    count_cycles_q,
     enumerate_classes_q,
     field,
     fundamental_unit,
@@ -345,3 +346,23 @@ class TestEnumeration:
                      (-55, 4), (-56, 4), (-67, 1), (-71, 7), (-95, 8),
                      (-163, 1)]:
             assert len(enumerate_classes_q(d)) == h
+
+
+class TestCycles:
+    def test_narrow_class_numbers(self):
+        # h+ = h with a norm -1 unit, 2h without one
+        for d, h_plus in [(5, 1), (8, 1), (12, 2), (13, 1), (21, 2), (40, 2),
+                          (60, 4), (65, 2), (136, 4), (229, 3), (481, 2)]:
+            assert count_cycles_q(d) == h_plus, d
+            assert count_cycles_q(Q(d)) == h_plus, d
+
+    def test_non_discriminant_has_no_forms(self):
+        assert count_cycles_q(7) == 0
+
+    def test_rejects(self):
+        for d in (0, 9, -4):
+            with pytest.raises(ValueError):
+                count_cycles_q(d)
+        with pytest.raises(WrongBase):
+            count_cycles_q(field("q_sqrt5")(5))
+
