@@ -59,6 +59,7 @@ from .forms import (
     automorph_from_unit,
     count_cycles_q,
     enumerate_classes_q,
+    proper_equivalence,
     reduce_form_q,
     root_transport_check,
     verify_equivalence_witness,

@@ -19,6 +19,7 @@ from math import floor, isqrt, lcm
 
 from .errors import (
     DivisionByZero,
+    DomainError,
     NotIntegral,
     SquareInput,
     ZeroArgument,
@@ -458,7 +459,8 @@ def unit_decompose(x: BaseElement):
     """Write a unit of a real quadratic field as sign * eps^k; returns (sign, k).
 
     Returns None when x is not a unit.  Only meaningful for the real
-    quadratic registry fields.
+    quadratic registry fields.  Among the associates x * eps^j of a unit,
+    |sigma_1| + |sigma_2| is smallest exactly at +-1 (value 2, no tie).
     """
     f = x.field
     if f.fundamental_unit is None:
@@ -466,14 +468,10 @@ def unit_decompose(x: BaseElement):
     if not x.is_unit():
         return None
     eps = f.fundamental_unit
-    eps_inv = f.one / eps
-    y, k = x, 0
-    while y != f.one and y != -f.one:
-        if _abs_emb_cmp(y, y * eps_inv) > 0:
-            y, k = y * eps_inv, k + 1
-        else:
-            y, k = y * eps, k - 1
-    return (1 if y == f.one else -1), k
+    (y, j), *rest = _unit_slide(x, eps, f.one / eps)
+    if rest or y not in (f.one, -f.one):
+        raise DomainError("unit slide did not end at +-1")
+    return (1 if y == f.one else -1), -j
 
 
 # -- gcd, residues, fundamental elements --------------------------------------

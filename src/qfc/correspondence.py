@@ -16,7 +16,6 @@ from .base_field import (
     BaseElement,
     Field,
     _unit_slide,
-    is_fundamental,
     unit_decompose,
 )
 from .base_field import Q as _Q
@@ -93,13 +92,7 @@ def phi(a: OrientedIdeal) -> QuadraticForm:
     if not a.is_aligned():
         raise OrientationMismatch("basis orientation differs from eps; align() first")
     basis = a.basis
-    alpha, beta = basis.alpha, basis.beta
-    det = basis.det_m()
-    mid = alpha.x * beta.x - alpha.y * beta.y * basis.ext.d
-    coeff_a = alpha.norm() / det
-    coeff_b = -(mid + mid) / det
-    coeff_c = beta.norm() / det
-    q = QuadraticForm(basis.ext.base, coeff_a, coeff_b, coeff_c)
+    q = QuadraticForm(basis.ext.base, *basis.norm_form())
     if q.disc() != basis.ext.d:
         raise DiscriminantMismatch("phi image has the wrong discriminant")
     if not q.is_primitive():
@@ -185,10 +178,9 @@ def tpd_sign_check(a: OrientedIdeal, i: int):
     if not 0 <= i < ext.base.r:
         raise ValueError("embedding index out of range")
     basis = a.basis
-    det = basis.det_m()
-    lead = basis.alpha.norm() / det
+    lead = basis.norm_form()[0]
     im = (basis.beta / basis.alpha).im_part()
-    return (lead.sign_at(i) > 0, det.sign_at(i) > 0, im.sign_at(i) > 0)
+    return (lead.sign_at(i) > 0, basis.det_m().sign_at(i) > 0, im.sign_at(i) > 0)
 
 
 OclReport = namedtuple("OclReport", ["case", "h", "ocl_order", "unit", "unit_norm"])
@@ -211,12 +203,13 @@ def ocl_structure_q(d) -> OclReport:
     else:
         d_int = int(d)
         d = _Q(d_int)
-    if not is_fundamental(d):
-        raise NotFundamental(f"{d_int} is not a fundamental discriminant")
+    try:
+        ext = make_extension(_Q, d)
+    except NotFundamental:
+        raise NotFundamental(f"{d_int} is not a fundamental discriminant") from None
     if d_int < 0:
         h = len(enumerate_classes_q(d_int))
         return OclReport(case=1, h=h, ocl_order=2 * h, unit=None, unit_norm=None)
-    ext = make_extension(_Q, d)
     X, Y, nsign = fundamental_unit_xy(d_int)
     unit = ext.element(Fraction(X, 2), Fraction(Y, 2))
     h_plus = count_cycles_q(d_int)

@@ -17,6 +17,7 @@ from .base_field import Q as _Q
 from .errors import (
     DiscriminantMismatch,
     DiscriminantNotTotallyNegative,
+    DomainError,
     IndefiniteForm,
     InvalidTransformation,
     NotAUnit,
@@ -220,38 +221,79 @@ def _as_int_form(q: QuadraticForm):
     return int(q.a.c0), int(q.b.c0), int(q.c.c0)
 
 
-def _is_normal(a, b, _c):
-    return -a < b <= a
+def _is_reduced(form, d, s):
+    """d < 0: -|a| < b <= |a| <= |c|, and b >= 0 if a = c; one form per
+    proper class of positive, and of negative, definite forms.  d > 0:
+    0 < b < sqrt(d) and sqrt(d) - b < 2|a| < sqrt(d) + b, which with
+    s = isqrt(d) read b <= s and s - b < 2|a| <= s + b, exactly."""
+    a, b, c = form
+    if d < 0:
+        return -abs(a) < b <= abs(a) <= abs(c) and (b >= 0 or a != c)
+    return 0 < b <= s and s - b < 2 * abs(a) <= s + b
 
 
-def _is_reduced(a, b, c):
-    return _is_normal(a, b, c) and a <= c and (b >= 0 if a == c else True)
+def _rho(form, mat, d, s):
+    """One reduction step (a, b, c) -> (c, b', (b'^2 - d)/4c), which is the
+    form composed with (0, -1; 1, t), and mat right-multiplied by the same
+    matrix.  b' = -b mod 2|c| lies in (-|c|, |c|] for d < 0 or |c| > sqrt(d),
+    and is the largest such integer below sqrt(d) otherwise; s = isqrt(d)."""
+    a, b, c = form
+    top = abs(c) if d < 0 or abs(c) > s else s
+    b2 = top - (top + b) % (2 * abs(c))
+    t = (b + b2) // (2 * c)
+    p, q, r, u = mat
+    return (c, b2, (b2 * b2 - d) // (4 * c)), (q, t * q - p, u, t * u - r)
 
 
-def _normalize_step(a, b, c):
-    r = (a - b) // (2 * a)
-    return a, b + 2 * r * a, a * r * r + b * r + c
-
-
-def _reduction_step(a, b, c):
-    s = (c + b) // (2 * c)
-    return c, -b + 2 * s * c, c * s * s - b * s + a
+def _reduce(form, d, s):
+    """The reduced form reached from form by rho steps, and the matrix T of
+    determinant 1 with form o T equal to it."""
+    mat = (1, 0, 0, 1)
+    while not _is_reduced(form, d, s):
+        form, mat = _rho(form, mat, d, s)
+    return form, mat
 
 
 def reduce_form_q(q: QuadraticForm) -> QuadraticForm:
     """The unique reduced representative of a positive definite form over Q."""
     a, b, c = _as_int_form(q)
-    if b * b - 4 * a * c >= 0:
+    d = b * b - 4 * a * c
+    if d >= 0:
         raise IndefiniteForm("reduction implemented for negative discriminant")
     if a <= 0:
         raise ValueError("expected a positive definite form (a > 0)")
-    if not _is_normal(a, b, c):
-        a, b, c = _normalize_step(a, b, c)
-    while not _is_reduced(a, b, c):
-        a, b, c = _reduction_step(a, b, c)
-        if not _is_normal(a, b, c):
-            a, b, c = _normalize_step(a, b, c)
-    return QuadraticForm(q.field, a, b, c)
+    form, _ = _reduce((a, b, c), d, 0)
+    return QuadraticForm(q.field, *form)
+
+
+def proper_equivalence(f: QuadraticForm, g: QuadraticForm):
+    """A verified Transformation T of determinant 1 with f o T = g, or None
+    when the forms over Q are not properly equivalent: their reduced forms
+    differ (d < 0), or that of g is not on the rho-cycle of that of f
+    (d > 0), so the work is bounded by one cycle."""
+    fi, gi = _as_int_form(f), _as_int_form(g)
+    d = fi[1] * fi[1] - 4 * fi[0] * fi[2]
+    if gi[1] * gi[1] - 4 * gi[0] * gi[2] != d:
+        raise DiscriminantMismatch("forms of different discriminants")
+    if d > 0 and isqrt(d) ** 2 == d:
+        raise ValueError("proper equivalence needs a non-square discriminant")
+    s = isqrt(d) if d > 0 else 0
+    f_red, m = _reduce(fi, d, s)
+    g_red, n = _reduce(gi, d, s)
+    form = f_red
+    while form != g_red:
+        form, m = _rho(form, m, d, s)
+        if d < 0 or form == f_red:
+            return None
+    # f o m = g o n, so T = m n^-1
+    p, q, r, u = m
+    p2, q2, r2, u2 = n
+    t = Transformation(
+        f.field, p * u2 - q * r2, q * p2 - p * q2, r * u2 - u * r2, u * p2 - r * q2
+    )
+    if not verify_equivalence_witness(f, g, t):
+        raise DomainError("proper equivalence witness failed verification")
+    return t
 
 
 def enumerate_classes_q(d) -> list[QuadraticForm]:
@@ -284,23 +326,12 @@ def enumerate_classes_q(d) -> list[QuadraticForm]:
     return out
 
 
-def _rho(a, b, c, d, s):
-    """One reduction step (a, b, c) -> (c, b', c') on a reduced indefinite
-    form, with b' the largest integer below sqrt(d) congruent to -b mod 2|c|."""
-    b2 = s - (s + b) % (2 * abs(c))
-    return c, b2, (b2 * b2 - d) // (4 * c)
-
-
 def count_cycles_q(d) -> int:
     """Number of cycles of reduced primitive indefinite forms of
     discriminant d > 0 over Q, which is the narrow class number h+.
 
-    (a, b, c) is reduced when 0 < b < sqrt(d) and
-    sqrt(d) - b < 2|a| < sqrt(d) + b; with s = isqrt(d) and d not a square
-    these read b <= s and s - b < 2|a| <= s + b, exactly.  The step
-    (a, b, c) -> (c, b', c') permutes the reduced forms, and its cycles are
-    the proper equivalence classes (Buchmann & Vollmer, ch. 6; Cohen,
-    GTM 138, 5.6).
+    The step rho permutes the reduced forms, and its cycles are the proper
+    equivalence classes (Buchmann & Vollmer, ch. 6; Cohen, GTM 138, 5.6).
     """
     if isinstance(d, BaseElement):
         if not d.field.is_rational:
@@ -324,9 +355,9 @@ def count_cycles_q(d) -> int:
     cycles = 0
     while reduced:
         start = reduced.pop()
-        form = _rho(*start, d, s)
+        form, _ = _rho(start, (1, 0, 0, 1), d, s)
         while form != start:
             reduced.remove(form)
-            form = _rho(*form, d, s)
+            form, _ = _rho(form, (1, 0, 0, 1), d, s)
         cycles += 1
     return cycles

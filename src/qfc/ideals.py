@@ -10,19 +10,19 @@ the basis so its orientation matches the sign vector.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import product
-from math import ceil, isqrt, lcm
+from math import lcm
 
 from .base_field import BaseElement, canonical_associate, gcd_k
-from .contfrac import fundamental_unit_xy
 from .errors import (
     DegenerateBasis,
+    DomainError,
     ExtensionMismatch,
     NotAnIdeal,
     RankDeficient,
 )
 from .extension import ExtElement, Extension
+from .forms import QuadraticForm, proper_equivalence
 
 
 class IdealBasis:
@@ -63,6 +63,14 @@ class IdealBasis:
         if det.is_zero():
             raise DegenerateBasis("zero determinant")
         return det.signs() if self.ext.base.r > 0 else ()
+
+    def norm_form(self):
+        """Coefficients (a, b, c) of N(alpha x - beta y) / det M, the
+        Phi-image of the basis."""
+        alpha, beta = self.alpha, self.beta
+        det = self.det_m()
+        mid = alpha.x * beta.x - alpha.y * beta.y * self.ext.d
+        return alpha.norm() / det, -(mid + mid) / det, beta.norm() / det
 
     def norm_generator(self) -> BaseElement:
         """Generator of the relative norm ideal N_{L/K}(I); equals det M."""
@@ -277,53 +285,18 @@ def _quotient_module(a: OrientedIdeal, b: OrientedIdeal) -> IdealBasis:
     return prod.scale(a.ext.base.one / det_a)
 
 
-def _rational_generators(basis: IdealBasis, n: int):
-    """All gamma = (X + Y sqrt(D))/2 in an integral ideal over base Q with
-    |N(gamma)| = n and Y >= 0; complete by construction.
-
-    For D < 0 the norm form is positive definite, bounding Y directly; for
-    D > 0 any generator can be slid by the fundamental unit into
-    |sigma_1| in [sqrt(n), sqrt(n)*eps), which bounds both coordinates.
-    """
-    ext = basis.ext
-    D = int(ext.d.c0)
-    if D < 0:
-        y_max = isqrt(4 * n // (-D))
-    else:
-        X_e, Y_e, _ = fundamental_unit_xy(D)
-        eps_up = Fraction(X_e + Y_e * (isqrt(D) + 1), 2)
-        bound = Fraction(isqrt(n) + 1) * (eps_up + 1)
-        y_max = ceil(bound / isqrt(D))
-    for Y in range(0, y_max + 1):
-        for t in (4 * n, -4 * n):
-            v = D * Y * Y + t
-            if v < 0:
-                continue
-            X = isqrt(v)
-            if X * X != v or (X - D * Y) % 2 != 0:
-                continue
-            xs = (X,) if X == 0 else (X, -X)
-            for Xs in xs:
-                gamma = ext.element(Fraction(Xs, 2), Fraction(Y, 2))
-                if basis.contains(gamma):
-                    yield gamma
-
-
 def principal_generator_q(basis: IdealBasis):
-    """Over base Q: a generator of the fractional ideal, or None.
-
-    The search is complete (not bounded): for D < 0 via the positive
-    definite norm form, for D > 0 via the fundamental-unit sliding bound.
-    """
-    if not basis.ext.base.is_rational:
+    """Over base Q: a generator of the fractional ideal, or None.  Complete:
+    the ideal is principal exactly when (basis; +1) or (basis; -1) is
+    equivalent to (O_L; +1)."""
+    ext = basis.ext
+    if not ext.base.is_rational:
         raise ExtensionMismatch("complete principality test requires base Q")
-    k = lcm(basis.alpha.denominator(), basis.beta.denominator())
-    integral = basis.scale(k)
-    n = abs(int(integral.det_m().c0))
-    for gamma in _rational_generators(integral, n):
-        cand = IdealBasis(gamma, gamma * basis.ext.omega, _checked=True)
-        if cand.same_module(integral):
-            return gamma / basis.ext.from_base(basis.ext.base(k))
+    one = principal_oriented(ext.one)
+    for e in (1, -1):
+        res = oriented_equivalent(one, OrientedIdeal(basis, (e,)))
+        if res.status == EQUIVALENT:
+            return res.gamma
     return None
 
 
@@ -349,9 +322,11 @@ def oriented_equivalent(
 
     Equivalence means gamma*I = J with the sign vector of N(gamma) equal to
     the componentwise product of the two orientations.  Over base Q the
-    answer is always definite (the generator search is complete and the
-    bound is ignored); over quadratic base fields the witness search runs
-    over coordinate boxes up to `search_bound` and may return unknown.
+    answer is always definite and the bound is ignored: the Phi-images of
+    the aligned ideals are reduced and compared (one reduced form for
+    d < 0, one cycle of reduced forms for d > 0).  Over quadratic base
+    fields the witness search runs over coordinate boxes up to
+    `search_bound` and may return unknown.
     The box grows like (2k+1)^4, so large bounds get expensive fast.
     """
     if a.ext != b.ext:
@@ -365,8 +340,6 @@ def oriented_equivalent(
     if ext.totally_negative_d() and any(s == -1 for s in target):
         return EquivalenceResult(NOT_EQUIVALENT, None)
 
-    quotient = _quotient_module(a, b)
-
     def witness_ok(gamma):
         if gamma.is_zero():
             return False
@@ -375,21 +348,20 @@ def oriented_equivalent(
         return a.basis.scale(gamma).same_module(b.basis)
 
     if base.is_rational:
-        gamma = principal_generator_q(quotient)
-        if gamma is None:
+        # f o T = g makes [p alpha_a - r beta_a, ...] a basis of a with form g
+        a_al, b_al = a.align().basis, b.align().basis
+        t = proper_equivalence(
+            QuadraticForm(base, *a_al.norm_form()),
+            QuadraticForm(base, *b_al.norm_form()),
+        )
+        if t is None:
             return EquivalenceResult(NOT_EQUIVALENT, None)
-        if witness_ok(gamma):
-            return EquivalenceResult(EQUIVALENT, gamma)
-        # wrong sign: only a norm-negative unit of L can repair it
-        D = int(ext.d.c0)
-        if D > 0:
-            X, Y, nsign = fundamental_unit_xy(D)
-            if nsign == -1:
-                gamma2 = gamma * ext.element(Fraction(X, 2), Fraction(Y, 2))
-                if witness_ok(gamma2):
-                    return EquivalenceResult(EQUIVALENT, gamma2)
-        return EquivalenceResult(NOT_EQUIVALENT, None)
+        gamma = b_al.alpha / (t.p * a_al.alpha - t.r * a_al.beta)
+        if not witness_ok(gamma):
+            raise DomainError("equivalence witness failed verification")
+        return EquivalenceResult(EQUIVALENT, gamma)
 
+    quotient = _quotient_module(a, b)
     n0 = quotient.det_m()
     for s, t in _coordinate_box(base, search_bound):
         gamma = ext.from_base(s) * quotient.alpha + ext.from_base(t) * quotient.beta

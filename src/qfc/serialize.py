@@ -99,7 +99,9 @@ def ideal_from_json(ext: Extension, obj) -> OrientedIdeal:
     ):
         raise ParseError("ideal must be an object with alpha, beta, eps")
     eps = obj["eps"]
-    if not isinstance(eps, list) or any(e not in (1, -1) for e in eps):
+    if not isinstance(eps, list) or any(
+        type(e) is not int or e not in (1, -1) for e in eps
+    ):
         raise ParseError("eps must be a list of +-1")
     alpha = lelement_from_json(ext, obj["alpha"])
     beta = lelement_from_json(ext, obj["beta"])

@@ -179,6 +179,12 @@ class TestUnits:
         assert unit_decompose(-(eps**3)) == (-1, 3)
         assert unit_decompose(QS5.one / eps) == (1, -1)
         assert unit_decompose(QS5(7)) is None
+        for tag in ("q_sqrt2", "q_sqrt5", "q_sqrt13"):
+            f = field(tag)
+            for k in range(-30, 31):
+                for sign in (1, -1):
+                    u = sign * f.fundamental_unit**k
+                    assert unit_decompose(u) == (sign, k), (tag, sign, k)
 
 
 class TestResiduesMod4:

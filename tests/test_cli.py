@@ -143,6 +143,16 @@ class TestErrorContract:
             "--ideal", json.dumps(report["ideal"]),
         ))
 
+    def test_eps_entries_must_be_integers(self, capsys):
+        # true == 1 and 1.0 == 1 by value; neither is a valid orientation
+        _, report = run_json(capsys, "psi", "--base", "q", "--form", "1,0,1")
+        for entry in (True, 1.0):
+            report["ideal"]["eps"] = [entry]
+            self.assert_parse_error(*run_cli(
+                capsys, "tpdcheck", "--base", "q", "--d", "-4",
+                "--ideal", json.dumps(report["ideal"]),
+            ))
+
     def test_bad_env_bound(self, capsys, monkeypatch):
         monkeypatch.setenv("QFC_BOUND", "abc")
         self.assert_parse_error(*run_cli(

@@ -405,6 +405,10 @@ class TestOclStructure:
     def test_rejects(self):
         with pytest.raises(NotFundamental):
             ocl_structure_q(-21)
+        for d in (-21, -16, 12 * 4, 45):
+            with pytest.raises(NotFundamental) as info:
+                ocl_structure_q(d)
+            assert str(info.value) == f"{d} is not a fundamental discriminant"
         with pytest.raises(WrongBase):
             ocl_structure_q(QS5(-4))
 

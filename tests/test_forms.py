@@ -22,6 +22,7 @@ from qfc import (
     field,
     fundamental_unit,
     make_extension,
+    proper_equivalence,
     reduce_form_q,
     root_transport_check,
     verify_equivalence_witness,
@@ -366,3 +367,64 @@ class TestCycles:
         with pytest.raises(WrongBase):
             count_cycles_q(field("q_sqrt5")(5))
 
+
+
+def _reduced_indefinite(d):
+    """Reduced primitive forms of discriminant d > 0, by brute force."""
+    from math import gcd, isqrt
+
+    out = []
+    for b in range(1, isqrt(d) + 1):
+        for a in range(-2 * d, 2 * d + 1):
+            if a == 0 or (b * b - d) % (4 * a):
+                continue
+            c = (b * b - d) // (4 * a)
+            lo, hi = 2 * abs(a) - b, 2 * abs(a) + b
+            # |sqrt(d) - 2|a|| < b < sqrt(d), squared
+            if b * b < d < hi * hi and (lo <= 0 or lo * lo < d):
+                if gcd(gcd(a, b), c) == 1:
+                    out.append(QuadraticForm(Q, a, b, c))
+    return out
+
+
+class TestProperEquivalence:
+    def test_classes_match_cycle_count(self):
+        # proper equivalence splits the reduced forms into h+ classes
+        for d in (5, 12, 21, 40, 60, 136, 229, 316):
+            forms = _reduced_indefinite(d)
+            reps = []
+            for f in forms:
+                for g in reps:
+                    t = proper_equivalence(g, f)
+                    if t is not None:
+                        assert g.transform(t) == f
+                        break
+                else:
+                    reps.append(f)
+            assert len(reps) == count_cycles_q(d), d
+
+    def test_definite_reduced_forms_are_inequivalent(self):
+        classes = enumerate_classes_q(-71)
+        for f in classes:
+            for g in classes:
+                assert (proper_equivalence(f, g) is not None) == (f == g)
+
+    def test_negative_definite(self):
+        f = QuadraticForm(Q, -2, 1, -3)
+        g = QuadraticForm(Q, -3, -1, -2)
+        t = proper_equivalence(f, g)
+        assert t is not None and f.transform(t) == g
+        assert proper_equivalence(f, QuadraticForm(Q, 2, 1, 3)) is None
+
+    def test_improper_is_not_proper(self):
+        # (2, 1, 3) and (2, -1, 3) are only improperly equivalent
+        assert proper_equivalence(QuadraticForm(Q, 2, 1, 3),
+                                  QuadraticForm(Q, 2, -1, 3)) is None
+
+    def test_rejects(self):
+        with pytest.raises(DiscriminantMismatch):
+            proper_equivalence(QuadraticForm(Q, 1, 0, 1), QuadraticForm(Q, 1, 1, 1))
+        with pytest.raises(ValueError):
+            proper_equivalence(QuadraticForm(Q, 1, 1, 0), QuadraticForm(Q, 1, 1, 0))
+        with pytest.raises(WrongBase):
+            proper_equivalence(QuadraticForm(QI, 1, 0, 1), QuadraticForm(QI, 1, 0, 1))

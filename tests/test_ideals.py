@@ -22,6 +22,7 @@ from qfc import (
     Q,
     QuadraticForm,
     RankDeficient,
+    Transformation,
     field,
     ideal_mul,
     make_extension,
@@ -353,6 +354,39 @@ class TestOrientedEquivalent:
         res = oriented_equivalent(a, b, 0)
         assert res.status == "unknown"
 
+    def test_large_regulator(self):
+        # fundamental units of 24, 34, 40 and 71 digits: the answer comes
+        # from one cycle of reduced forms, not from a search bounded by eps
+        cases = [
+            (1201, (1, 1, -300), (2, 1, -150), EQUIVALENT, EQUIVALENT),
+            (5001, (1, 1, -1250), (2, 1, -625), NOT_EQUIVALENT, EQUIVALENT),
+            (7001, (1, 1, -1750), (7, 1, -250), EQUIVALENT, EQUIVALENT),
+            (10009, (1, 1, -2502), (3, 1, -834), EQUIVALENT, EQUIVALENT),
+        ]
+        for d, f1, f2, same, flipped in cases:
+            ext = make_extension(Q, d)
+            a = psi(QuadraticForm(Q, *f1), ext)
+            b = psi(QuadraticForm(Q, *f2), ext)
+            b_flip = OrientedIdeal(b.basis, (-b.eps[0],))
+            for other, status in ((b, same), (b_flip, flipped)):
+                res = oriented_equivalent(a, other)
+                assert res.status == status, d
+                if status == EQUIVALENT:
+                    assert a.basis.scale(res.gamma).same_module(other.basis)
+                    assert res.gamma.norm().signs() == (a.eps[0] * other.eps[0],)
+
+    def test_failed_witness_raises(self, monkeypatch):
+        import qfc.ideals
+        from qfc import DomainError
+
+        def wrong(f, g):
+            return Transformation(Q, 1, 1, 0, 1)
+
+        monkeypatch.setattr(qfc.ideals, "proper_equivalence", wrong)
+        a = OrientedIdeal(unit_ideal(E23), (1,))
+        with pytest.raises(DomainError):
+            oriented_equivalent(a, psi(QuadraticForm(Q, 2, 1, 3)))
+
     def test_principal_generator(self):
         om = E23.omega
         g = E23.element(3, 1)  # 3 + sqrt(-23)? norm 9+23=32; any principal
@@ -367,6 +401,13 @@ class TestOrientedEquivalent:
         # over D = 40: the ramified prime above 2 is not principal
         p = IdealBasis(E40.element(2), E40.element(0, Fraction(1, 2)))
         assert principal_generator_q(p) is None
+
+    def test_principal_generator_large_unit(self):
+        # D = 1201 has h = 1: every ideal is principal
+        ext = make_extension(Q, 1201)
+        b = psi(QuadraticForm(Q, 2, 1, -150), ext).basis
+        gamma = principal_generator_q(b)
+        assert IdealBasis(gamma, gamma * ext.omega, _checked=True).same_module(b)
 
 
 class TestValidation:
