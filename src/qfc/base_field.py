@@ -131,7 +131,7 @@ class Field:
         for u in candidates:
             if u.signs() == pattern:
                 return u
-        raise AssertionError("registry invariant violated: missing sign pattern")
+        raise DomainError("registry invariant violated: missing sign pattern")
 
     def __repr__(self):
         return f"Field({self.tag})"
@@ -442,13 +442,9 @@ def canonical_associate(x: BaseElement) -> BaseElement:
     if f.is_rational:
         return x if x.c0 > 0 else -x
     if f.r == 0:
-        i_unit = f.omega  # w = i
-        y = x
-        for _ in range(4):
-            if y.c0 > 0 and y.c1 >= 0:
-                return y
-            y = y * i_unit
-        raise AssertionError("unreachable")
+        while not (x.c0 > 0 and x.c1 >= 0):
+            x = x * f.omega  # w = i; one of four rotations qualifies
+        return x
     eps = f.fundamental_unit
     candidates = _unit_slide(x, eps, f.one / eps)
     fixed = [c if c.sign_at(0) > 0 else -c for c, _ in candidates]

@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 parse error, 2 domain error, 3 bound exhausted
-(an equivalence search returned unknown).  Reports go to stdout; the json
-format is canonical (sorted keys, compact).
+(kept for an equivalence search that returns unknown; no command runs one
+yet).  Reports go to stdout; the json format is canonical (sorted keys,
+compact).
 """
 
 import argparse
@@ -30,6 +31,10 @@ from .ideals import UNKNOWN, ideal_mul
 DEFAULT_BOUND = 1000
 
 
+def _form_help(opt):
+    return f"a,b,c; a value starting with '-' must be attached: {opt}=-1,1,-1"
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ParseError(message)
@@ -52,20 +57,20 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("psi", help="quadratic form -> oriented ideal")
     common(p, need_d=False)
-    p.add_argument("--form", required=True, help="a,b,c")
+    p.add_argument("--form", required=True, help=_form_help("--form"))
 
     p = sub.add_parser("compose", help="compose two forms")
     common(p, need_d=False)
     p.add_argument("--d", required=False, default=None, help="cross-check orbit")
-    p.add_argument("--f1", required=True)
-    p.add_argument("--f2", required=True)
+    p.add_argument("--f1", required=True, help=_form_help("--f1"))
+    p.add_argument("--f2", required=True, help=_form_help("--f2"))
 
     p = sub.add_parser("identity", help="identity form of the extension")
     common(p)
 
     p = sub.add_parser("inverse", help="inverse form (a, -b, c)")
     common(p, need_d=False)
-    p.add_argument("--form", required=True)
+    p.add_argument("--form", required=True, help=_form_help("--form"))
 
     p = sub.add_parser("classtable", help="reduced classes over Q, d < 0")
     common(p)

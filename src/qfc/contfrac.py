@@ -1,82 +1,39 @@
-"""Fundamental units of real quadratic fields by continued fractions.
+"""Fundamental units of real quadratic orders from the principal rho-cycle.
 
 The unit is returned as (X, Y, norm) with unit = (X + Y*sqrt(D))/2 > 1 and
-norm = (X^2 - D*Y^2)/4 in {-1, +1}.  All arithmetic is on integers; the
-convergents of the relevant square root generate every solution of
-X^2 - D Y^2 = +-4 with Y beyond the small seed range, so the minimal one
-is certain to be found.
+norm = (X^2 - D*Y^2)/4 in {-1, +1}.  The rho-cycle of the reduced
+principal form is the continued fraction of its root, and the matrix of
+one walk round it is the fundamental automorph (Buchmann & Vollmer, ch. 6;
+Cohen, GTM 138, 5.6-5.7).  All arithmetic is on integers.
 """
 
 from math import isqrt
 
 from .errors import SquareInput, WrongBase
-
-
-def sqrt_cf_convergents(d: int):
-    """Yield convergents (p, q) of sqrt(d) for non-square d > 0."""
-    a0 = isqrt(d)
-    p_prev, q_prev = 1, 0
-    p, q = a0, 1
-    yield p, q
-    P, Q = 0, 1
-    a = a0
-    while True:
-        P = a * Q - P
-        Q = (d - P * P) // Q
-        a = (a0 + P) // Q
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
-        yield p, q
+from .forms import _reduce, _rho
 
 
 def fundamental_unit_xy(D: int) -> tuple[int, int, int]:
     """Minimal unit > 1 of the quadratic order of discriminant D > 0.
 
-    Returns (X, Y, norm) with the unit equal to (X + Y*sqrt(D))/2.
+    Returns (X, Y, norm) with the unit equal to (X + Y*sqrt(D))/2.  The
+    walk from the reduced principal form f = (a, b, c) stops at f again
+    (norm +1) or first at (-a, b, -c) (norm -1); its matrix M has
+    M21 = +-a*Y.
     """
     if D <= 0 or D % 4 not in (0, 1):
         raise WrongBase("unit computation needs a positive discriminant")
-    if isqrt(D) ** 2 == D:
+    s = isqrt(D)
+    if s * s == D:
         raise SquareInput("discriminant must not be a square")
-
-    candidates: list[tuple[int, int]] = []
-
-    # small-Y seed: covers the tiny discriminants where half-integral
-    # solutions are not convergents (D = 5, 8, 12, 13, ...)
-    for Y in range(1, 5):
-        for t in (-4, 4):
-            v = D * Y * Y + t
-            if v > 0:
-                X = isqrt(v)
-                if X * X == v and (X - D * Y) % 2 == 0:
-                    candidates.append((X, Y))
-
-    if D % 4 == 0:
-        # O_L = Z[sqrt(n)]: X is forced even and X^2 - D Y^2 = +-4 is the
-        # classical Pell equation for n = D/4, solved along convergents
-        n = D // 4
-        for p, q in sqrt_cf_convergents(n):
-            if candidates and min(y for _, y in candidates) <= q:
-                break
-            r = p * p - n * q * q
-            if r in (1, -1):
-                candidates.append((2 * p, q))
-                break
-    else:
-        # D = 1 mod 4: even solutions come from p^2 - D q^2 = +-1, odd
-        # half-integral ones directly from p^2 - D q^2 = +-4
-        for p, q in sqrt_cf_convergents(D):
-            if candidates and min(y for _, y in candidates) <= q:
-                break
-            r = p * p - D * q * q
-            if r in (4, -4):
-                candidates.append((p, q))
-            if r in (1, -1):
-                candidates.append((2 * p, 2 * q))
-                break
-
-    X, Y = min(candidates, key=lambda c: (c[1], c[0]))
-    return X, Y, (X * X - D * Y * Y) // 4
+    f, _ = _reduce((1, D % 2, (D % 2 - D) // 4), D, s)
+    a, b, c = f
+    form, mat = _rho(f, (1, 0, 0, 1), D, s)
+    while form != f and form != (-a, b, -c):
+        form, mat = _rho(form, mat, D, s)
+    norm = 1 if form == f else -1
+    Y = abs(mat[2] // a)
+    return isqrt(D * Y * Y + 4 * norm), Y, norm
 
 
 def fundamental_unit(ext):

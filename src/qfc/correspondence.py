@@ -10,23 +10,25 @@ positive unit} and normalize internally to a canonical fundamental D.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .base_field import (
     BaseElement,
     Field,
     _unit_slide,
+    k_sqrt,
     unit_decompose,
 )
 from .base_field import Q as _Q
-from .contfrac import fundamental_unit_xy
+from .contfrac import fundamental_unit
 from .errors import (
     DiscriminantMismatch,
     DiscriminantNotInClass,
     DiscriminantNotTotallyNegative,
+    DomainError,
     NotFundamental,
     NotPrimitive,
     OrientationMismatch,
+    SquareInput,
     WrongBase,
 )
 from .extension import Extension, ExtElement, make_extension
@@ -135,6 +137,8 @@ def inverse_form(q: QuadraticForm) -> QuadraticForm:
     """(a, -b, c); represents the inverse class."""
     if not q.is_primitive():
         raise NotPrimitive("inverse requires a primitive form")
+    if k_sqrt(q.disc()) is not None:
+        raise SquareInput("discriminant must be nonzero and not a square in K")
     return QuadraticForm(q.field, q.a, -q.b, q.c)
 
 
@@ -163,7 +167,7 @@ def roundtrip_gamma(a: OrientedIdeal) -> ExtElement:
     image = psi(phi(a))
     scaled = image.scale(gamma)
     if not (scaled.basis.same_module(basis) and scaled.eps == a.eps):
-        raise AssertionError("round-trip witness failed verification")
+        raise DomainError("round-trip witness failed verification")
     return gamma
 
 
@@ -193,8 +197,8 @@ def ocl_structure_q(d) -> OclReport:
     norms +1): order 2h.  Case 3 (D > 0 with a norm -1 unit): order h.
     h comes from reduced-form enumeration (D < 0) or from the number h+ of
     cycles of reduced indefinite forms (D > 0), which is the order of OCl
-    and equals h in case 3 and 2h in case 2; the unit norm comes from the
-    continued fraction of the square root.
+    and equals h in case 3 and 2h in case 2.  The fundamental unit and its
+    norm come from one walk of the principal rho-cycle.
     """
     if isinstance(d, BaseElement):
         if not d.field.is_rational:
@@ -210,9 +214,8 @@ def ocl_structure_q(d) -> OclReport:
     if d_int < 0:
         h = len(enumerate_classes_q(d_int))
         return OclReport(case=1, h=h, ocl_order=2 * h, unit=None, unit_norm=None)
-    X, Y, nsign = fundamental_unit_xy(d_int)
-    unit = ext.element(Fraction(X, 2), Fraction(Y, 2))
+    unit = fundamental_unit(ext)
     h_plus = count_cycles_q(d_int)
-    if nsign == -1:
+    if unit.norm() == -1:
         return OclReport(case=3, h=h_plus, ocl_order=h_plus, unit=unit, unit_norm=-1)
     return OclReport(case=2, h=h_plus // 2, ocl_order=h_plus, unit=unit, unit_norm=1)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 
 from .base_field import BaseElement, Field, is_fundamental
-from .errors import DivisionByZero, ExtensionMismatch, NotFundamental
+from .errors import DivisionByZero, DomainError, ExtensionMismatch, NotFundamental
 
 
 class Extension:
@@ -95,7 +95,7 @@ def make_extension(base: Field, d) -> Extension:
         z = (w * w - d) / 4
         if z.is_integral():
             return Extension(base, d, w, z)
-    raise AssertionError("fundamental d is a residue mod 4 by definition")
+    raise DomainError("fundamental d is a residue mod 4 by definition")
 
 
 class ExtElement:

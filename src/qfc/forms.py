@@ -225,7 +225,9 @@ def _is_reduced(form, d, s):
     """d < 0: -|a| < b <= |a| <= |c|, and b >= 0 if a = c; one form per
     proper class of positive, and of negative, definite forms.  d > 0:
     0 < b < sqrt(d) and sqrt(d) - b < 2|a| < sqrt(d) + b, which with
-    s = isqrt(d) read b <= s and s - b < 2|a| <= s + b, exactly."""
+    s = isqrt(d) read b <= s and s - b < 2|a| <= s + b, exactly.  The one
+    reduced-form test: it stops _reduce and selects the members of
+    enumerate_classes_q and count_cycles_q."""
     a, b, c = form
     if d < 0:
         return -abs(a) < b <= abs(a) <= abs(c) and (b >= 0 or a != c)
@@ -312,17 +314,10 @@ def enumerate_classes_q(d) -> list[QuadraticForm]:
     for a in range(1, a_max + 1):
         for b in range(-a + 1, a + 1):
             num = b * b - d
-            if num % (4 * a) != 0:
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if a == c and b < 0:
-                continue
-            if gcd(gcd(a, b), c) != 1:
-                continue
-            out.append(QuadraticForm(_Q, a, b, c))
-    out.sort(key=lambda f: (f.a.c0, f.b.c0, f.c.c0))
+            if num % (4 * a) == 0:
+                c = num // (4 * a)
+                if _is_reduced((a, b, c), d, 0) and gcd(gcd(a, b), c) == 1:
+                    out.append(QuadraticForm(_Q, a, b, c))
     return out
 
 
@@ -345,13 +340,12 @@ def count_cycles_q(d) -> int:
     reduced = set()
     for b in range(2 - d % 2, s + 1, 2):
         n = (d - b * b) // 4  # = -a c
-        for a in range((s - b) // 2 + 1, (s + b) // 2 + 1):
-            if n % a:
-                continue
-            c = n // a
-            if gcd(gcd(a, b), c) == 1:
-                reduced.add((a, b, -c))
-                reduced.add((-a, b, c))
+        for a in range(1, s + 1):
+            if n % a == 0:
+                c = n // a
+                if _is_reduced((a, b, -c), d, s) and gcd(gcd(a, b), c) == 1:
+                    reduced.add((a, b, -c))
+                    reduced.add((-a, b, c))
     cycles = 0
     while reduced:
         start = reduced.pop()

@@ -42,6 +42,11 @@ class TestCommands:
         assert code == 0
         assert report["text"] == "2,-1,3"
 
+    def test_leading_minus_attached(self, capsys):
+        code, report = run_json(capsys, "inverse", "--base", "q", "--form=-1,1,-1")
+        assert code == 0
+        assert report["text"] == "-1,-1,-1"
+
     def test_psi_phi_roundtrip(self, capsys):
         code, report = run_json(capsys, "psi", "--base", "q", "--form", "2,1,3")
         assert code == 0
@@ -112,6 +117,11 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["error"] == "square_input"
 
+    def test_inverse_square_discriminant(self, capsys):
+        code, out = run_cli(capsys, "inverse", "--base", "q", "--form", "0,1,0")
+        assert code == 2
+        assert json.loads(out)["error"] == "square_input"
+
 
 class TestErrorContract:
     """Unreadable or malformed input ends in the parse_error object, exit 1."""
@@ -152,6 +162,13 @@ class TestErrorContract:
                 capsys, "tpdcheck", "--base", "q", "--d", "-4",
                 "--ideal", json.dumps(report["ideal"]),
             ))
+
+    def test_leading_minus_detached(self, capsys):
+        # argparse reads "-1,1,-1" as an option, so --form has no value
+        code = main(["inverse", "--base", "q", "--form", "-1,1,-1"])
+        captured = capsys.readouterr()
+        self.assert_parse_error(code, captured.out)
+        assert captured.err == ""
 
     def test_bad_env_bound(self, capsys, monkeypatch):
         monkeypatch.setenv("QFC_BOUND", "abc")

@@ -1,16 +1,18 @@
-"""Continued-fraction fundamental units against hand-checked values."""
+"""Fundamental units from the principal rho-cycle against hand-checked
+values and, where sympy is installed, against its Pell solver."""
+
+from math import isqrt
 
 import pytest
 
-from qfc import Q, SquareInput, fundamental_unit, fundamental_unit_xy, make_extension
-from qfc.contfrac import sqrt_cf_convergents
-
-
-def test_convergents_sqrt10():
-    it = sqrt_cf_convergents(10)
-    assert next(it) == (3, 1)
-    p, q = next(it)
-    assert p * p - 10 * q * q in (1, -1) or (p, q) == (19, 6)
+from qfc import (
+    Q,
+    SquareInput,
+    fundamental_unit,
+    fundamental_unit_xy,
+    is_fundamental,
+    make_extension,
+)
 
 
 @pytest.mark.parametrize(
@@ -45,3 +47,22 @@ def test_unit_is_a_unit_of_ol():
 def test_rejects_squares():
     with pytest.raises(SquareInput):
         fundamental_unit_xy(16)
+
+
+def test_against_sympy_pell():
+    # the unit is the solution of X^2 - D Y^2 = +-4 with the smallest Y > 0,
+    # then the smallest X
+    pytest.importorskip("sympy")
+    from sympy.solvers.diophantine.diophantine import diop_DN
+
+    for D in range(5, 2000):
+        if isqrt(D) ** 2 == D or not is_fundamental(Q(D)):
+            continue
+        sols = [
+            (abs(y), abs(x), n // 4)
+            for n in (4, -4)
+            for x, y in diop_DN(D, n)
+            if y
+        ]
+        Y, X, norm = min(sols)
+        assert fundamental_unit_xy(D) == (X, Y, norm), D

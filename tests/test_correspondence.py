@@ -23,6 +23,7 @@ from qfc import (
     OrientedIdeal,
     Q,
     QuadraticForm,
+    SquareInput,
     Transformation,
     WrongBase,
     automorph_from_unit,
@@ -171,6 +172,12 @@ class TestIdentityAndInverse:
         with pytest.raises(NotPrimitive):
             inverse_form(QuadraticForm(Q, 2, 2, 2))
 
+    def test_square_discriminant(self):
+        # discriminants 1, 0 and 9, rejected as compose and psi reject them
+        for a, b, c in ((0, 1, 0), (1, 2, 1), (1, 3, 0)):
+            with pytest.raises(SquareInput):
+                inverse_form(QuadraticForm(Q, a, b, c))
+
 
 class TestCompose:
     def test_identity_neutral(self):
@@ -278,6 +285,15 @@ class TestRoundtrips:
                 assert back.scale(u) == q
                 if f.is_rational:
                     assert back == q
+
+    def test_failed_witness_raises(self, monkeypatch):
+        import qfc.correspondence
+
+        wrong = QuadraticForm(Q, 2, 1, 3)
+        monkeypatch.setattr(qfc.correspondence, "phi", lambda a: wrong)
+        a = OrientedIdeal(IdealBasis(E23.one, E23.omega), (1,))
+        with pytest.raises(DomainError, match="round-trip witness"):
+            roundtrip_gamma(a)
 
     def test_psi_phi_witnessed(self, rng):
         for ext in (E23, E4, E5N4):
