@@ -14,7 +14,7 @@ from .base_field import (
     is_fundamental,
     is_qr_mod4,
     k_sqrt,
-    unit_decompose,
+    sqrt_mod4,
 )
 from .contfrac import fundamental_unit, fundamental_unit_xy
 from .correspondence import (

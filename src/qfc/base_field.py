@@ -451,25 +451,6 @@ def canonical_associate(x: BaseElement) -> BaseElement:
     return min(fixed, key=lambda c: (c.c0, c.c1))
 
 
-def unit_decompose(x: BaseElement):
-    """Write a unit of a real quadratic field as sign * eps^k; returns (sign, k).
-
-    Returns None when x is not a unit.  Only meaningful for the real
-    quadratic registry fields.  Among the associates x * eps^j of a unit,
-    |sigma_1| + |sigma_2| is smallest exactly at +-1 (value 2, no tie).
-    """
-    f = x.field
-    if f.fundamental_unit is None:
-        raise ValueError("unit_decompose requires a real quadratic field")
-    if not x.is_unit():
-        return None
-    eps = f.fundamental_unit
-    (y, j), *rest = _unit_slide(x, eps, f.one / eps)
-    if rest or y not in (f.one, -f.one):
-        raise DomainError("unit slide did not end at +-1")
-    return (1 if y == f.one else -1), -j
-
-
 # -- gcd, residues, fundamental elements --------------------------------------
 
 
@@ -491,52 +472,52 @@ def gcd_k(x: BaseElement, y: BaseElement) -> BaseElement:
     return canonical_associate(x)
 
 
-def is_qr_mod4(d: BaseElement) -> bool:
-    """Whether t^2 = d (mod 4) is solvable in O_K, by residue exhaustion."""
+def sqrt_mod4(d: BaseElement):
+    """The first t, by (|N(t)|, c0, c1) among the residues mod 2, with
+    t^2 = d (mod 4) in O_K, or None.  Residues mod 2 suffice because
+    (t + 2s)^2 = t^2 (mod 4)."""
     if not d.is_integral():
         raise NotIntegral("quadratic residue test requires an element of O_K")
-    for t in d.field.residues(4):
+    for t in sorted(d.field.residues(2), key=lambda t: (abs(t.norm()), t.c0, t.c1)):
         if ((t * t - d) / 4).is_integral():
-            return True
-    return False
+            return t
+    return None
+
+
+def is_qr_mod4(d: BaseElement) -> bool:
+    """Whether t^2 = d (mod 4) is solvable in O_K (see sqrt_mod4)."""
+    return sqrt_mod4(d) is not None
 
 
 def k_sqrt(x: BaseElement):
-    """Exact square root of x in K, or None."""
+    """Exact square root of x in K, or None; of the two roots, the one with
+    c1 > 0, or with c1 = 0 and c0 >= 0.
+
+    Over a quadratic K a root y has norm n with n^2 = N(x) and trace t with
+    t^2 = T(x) + 2n.  When t != 0, y = (x + n)/t, since y^2 - t*y + n = 0.
+    A root of trace 0 is r*(2w - T(w)), which needs x rational and
+    r^2 = x / (T(w)^2 - 4 N(w)).
+    """
     f = x.field
-    if x.is_zero():
-        return f.zero
-    tr, nm = f.omega_trace, f.omega_norm
-    roots = []
-    if x.c1 == 0:
+    if f.is_rational:
         r = _rat_sqrt(x.c0)
+        return None if r is None else f(r)
+    y = None
+    root_norm = _rat_sqrt(x.norm())
+    if root_norm is not None:
+        for n in (root_norm, -root_norm):
+            t = _rat_sqrt(x.trace() + 2 * n)
+            if t:
+                y = f((x.c0 + n) / t, x.c1 / t)
+                break
+    if y is None and x.c1 == 0:
+        tr = f.omega_trace
+        r = _rat_sqrt(x.c0 / (tr * tr - 4 * f.omega_norm))
         if r is not None:
-            roots.append(f(r))
-    if not f.is_rational:
-        # y = s + t*w with t != 0: the w-coordinate of y^2 gives
-        # t*(2s + t*tr) = c1, the other gives s^2 - t^2*nm = c0.
-        # Eliminating s yields a quadratic in V = t^2.
-        disc_w = tr * tr - 4 * nm  # equals m or 4m, nonzero
-        A = Fraction(disc_w)
-        B = -(2 * x.c1 * tr + 4 * x.c0)
-        C = x.c1 * x.c1
-        delta = _rat_sqrt(B * B - 4 * A * C)
-        if delta is not None:
-            for sgn in (1, -1):
-                V = (-B + sgn * delta) / (2 * A)
-                if V <= 0:
-                    continue
-                t = _rat_sqrt(V)
-                if t is None:
-                    continue
-                for tt in (t, -t):
-                    if tt == 0:
-                        continue
-                    s = (x.c1 / tt - tt * tr) / 2
-                    cand = f(s, tt)
-                    if cand * cand == x:
-                        roots.append(cand)
-    return roots[0] if roots else None
+            y = f(-r * tr, 2 * r)
+    if y is None:
+        return None
+    return y if y.c1 > 0 or (y.c1 == 0 and y.c0 >= 0) else -y
 
 
 def _factor_int(n: int) -> dict[int, int]:

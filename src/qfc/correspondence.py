@@ -11,13 +11,7 @@ positive unit} and normalize internally to a canonical fundamental D.
 
 from collections import namedtuple
 
-from .base_field import (
-    BaseElement,
-    Field,
-    _unit_slide,
-    k_sqrt,
-    unit_decompose,
-)
+from .base_field import BaseElement, Field, _unit_slide, k_sqrt
 from .base_field import Q as _Q
 from .contfrac import fundamental_unit
 from .errors import (
@@ -39,28 +33,17 @@ from .ideals import IdealBasis, OrientedIdeal, ideal_mul
 def tp_unit_sqrt(field: Field, ratio: BaseElement):
     """A totally positive unit u with u^2 = ratio, or None.
 
-    Over Q only ratio 1 qualifies; over Q(i) every unit is vacuously
-    totally positive, giving ratio in {1, -1}; over a real quadratic field
-    the totally positive units are the even powers of the fundamental unit,
-    so ratio must be a fourth power of it.
+    u is k_sqrt(ratio), negated on a real base when sigma_1(u) < 0.  Over Q
+    only ratio 1 qualifies; over Q(i) every unit is vacuously totally
+    positive, and k_sqrt(-1) = i; over a real quadratic field u must be an
+    even power of the fundamental unit, so ratio is a fourth power of it.
     """
-    if field.is_rational:
-        return field.one if ratio == field.one else None
-    if field.r == 0:
-        if ratio == field.one:
-            return field.one
-        if ratio == -field.one:
-            return field.omega  # i^2 = -1
+    u = k_sqrt(ratio)
+    if u is None or not u.is_unit():
         return None
-    if not ratio.is_unit():
-        return None
-    decomp = unit_decompose(ratio)
-    if decomp is None:
-        return None
-    sign, k = decomp
-    if sign != 1 or k % 4 != 0:
-        return None
-    return field.fundamental_unit ** (k // 2)
+    if field.r > 0 and u.sign_at(0) < 0:
+        u = -u
+    return u if u.is_totally_positive() else None
 
 
 def canonical_disc(field: Field, d: BaseElement):
@@ -105,23 +88,21 @@ def phi(a: OrientedIdeal) -> QuadraticForm:
 def psi(q: QuadraticForm, ext: Extension | None = None) -> OrientedIdeal:
     """Form class -> oriented ideal class: ([a, (-b + sqrt(disc))/2]; sgn a).
 
-    When `ext` is given, disc(q) must lie in its discriminant orbit; the
-    square root is taken as u*sqrt(D) for the totally positive unit u with
-    disc(q) = u^2 D.  Otherwise the extension is built from the canonical
-    representative of the orbit of disc(q).
+    Without `ext`, the extension is built from the canonical representative
+    of the orbit of disc(q).  Either way disc(q) must be u^2 D for the
+    extension's D and a totally positive unit u = tp_unit_sqrt(disc(q)/D),
+    and the square root is taken as u*sqrt(D).
     """
     if not q.is_primitive():
         raise NotPrimitive("psi requires a primitive form")
     dq = q.disc()
     if ext is None:
-        d_star, u = canonical_disc(q.field, dq)
-        ext = make_extension(q.field, d_star)
-    else:
-        u = tp_unit_sqrt(q.field, dq / ext.d)
-        if u is None:
-            raise DiscriminantNotInClass(
-                f"disc {dq} is not u^2 * {ext.d} for a totally positive unit u"
-            )
+        ext = make_extension(q.field, canonical_disc(q.field, dq)[0])
+    u = tp_unit_sqrt(q.field, dq / ext.d)
+    if u is None:
+        raise DiscriminantNotInClass(
+            f"disc {dq} is not u^2 * {ext.d} for a totally positive unit u"
+        )
     alpha = ext.from_base(q.a)
     beta = ext.element(-q.b / 2, u / 2)
     eps = q.a.signs() if q.field.r > 0 else ()

@@ -11,7 +11,7 @@ explicit linear map.
 from fractions import Fraction
 from math import lcm
 
-from .base_field import BaseElement, Field, is_fundamental
+from .base_field import BaseElement, Field, is_fundamental, sqrt_mod4
 from .errors import DivisionByZero, DomainError, ExtensionMismatch, NotFundamental
 
 
@@ -80,22 +80,18 @@ class Extension:
 def make_extension(base: Field, d) -> Extension:
     """Build the extension descriptor for a fundamental d.
 
-    w is chosen as the smallest representative (by |norm|, then
-    lexicographically on coordinates) of a residue class mod 2 with
-    w^2 = d (mod 4); this makes the descriptor deterministic.
+    w is sqrt_mod4(d): the smallest residue mod 2 (by |norm|, then
+    lexicographically on coordinates) with w^2 = d (mod 4); this makes the
+    descriptor deterministic.
     """
     if not isinstance(d, BaseElement):
         d = base(d)
     if not is_fundamental(d):
         raise NotFundamental(f"{d} is not fundamental over {base.tag}")
-    candidates = sorted(
-        base.residues(2), key=lambda w: (abs(w.norm()), w.c0, w.c1)
-    )
-    for w in candidates:
-        z = (w * w - d) / 4
-        if z.is_integral():
-            return Extension(base, d, w, z)
-    raise DomainError("fundamental d is a residue mod 4 by definition")
+    w = sqrt_mod4(d)
+    if w is None:
+        raise DomainError("fundamental d is a residue mod 4 by definition")
+    return Extension(base, d, w, (w * w - d) / 4)
 
 
 class ExtElement:

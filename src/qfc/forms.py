@@ -257,13 +257,12 @@ def _reduce(form, d, s):
 
 
 def reduce_form_q(q: QuadraticForm) -> QuadraticForm:
-    """The unique reduced representative of a positive definite form over Q."""
+    """The unique reduced representative of a definite form over Q, positive
+    or negative definite."""
     a, b, c = _as_int_form(q)
     d = b * b - 4 * a * c
     if d >= 0:
         raise IndefiniteForm("reduction implemented for negative discriminant")
-    if a <= 0:
-        raise ValueError("expected a positive definite form (a > 0)")
     form, _ = _reduce((a, b, c), d, 0)
     return QuadraticForm(q.field, *form)
 

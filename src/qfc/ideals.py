@@ -301,18 +301,15 @@ def principal_generator_q(basis: IdealBasis):
 
 
 def _coordinate_box(base, bound: int):
-    """Pairs (s, t) of O_K elements with coordinates of max-abs k, for
-    k = 0, 1, ..., bound; deterministic shell order."""
-    dims = 2 if base.is_rational else 4
+    """Pairs (s, t) of O_K elements, K quadratic, whose four coordinates have
+    max-abs k, for k = 0, 1, ..., bound; lexicographic within each shell.
+    The last coordinate runs over all of [-k, k] only when one of the first
+    three already reaches k."""
     for k in range(bound + 1):
-        rng = range(-k, k + 1)
-        for tup in product(rng, repeat=dims):
-            if max(abs(v) for v in tup) != k:
-                continue
-            if base.is_rational:
-                yield base(tup[0]), base(tup[1])
-            else:
-                yield base(tup[0], tup[1]), base(tup[2], tup[3])
+        full = range(-k, k + 1)
+        for head in product(full, repeat=3):
+            for last in full if max(map(abs, head)) == k else (-k, k):
+                yield base(head[0], head[1]), base(head[2], last)
 
 
 def oriented_equivalent(

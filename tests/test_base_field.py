@@ -17,7 +17,8 @@ from qfc import (
     is_fundamental,
     is_qr_mod4,
     k_sqrt,
-    unit_decompose,
+    make_extension,
+    sqrt_mod4,
 )
 
 
@@ -174,18 +175,6 @@ class TestUnits:
                 assert u.is_unit() and u.signs() == pattern
         assert Q.unit_with_signs((-1,)) == Q(-1)
 
-    def test_unit_decompose(self):
-        eps = QS5.fundamental_unit
-        assert unit_decompose(-(eps**3)) == (-1, 3)
-        assert unit_decompose(QS5.one / eps) == (1, -1)
-        assert unit_decompose(QS5(7)) is None
-        for tag in ("q_sqrt2", "q_sqrt5", "q_sqrt13"):
-            f = field(tag)
-            for k in range(-30, 31):
-                for sign in (1, -1):
-                    u = sign * f.fundamental_unit**k
-                    assert unit_decompose(u) == (sign, k), (tag, sign, k)
-
 
 class TestResiduesMod4:
     def test_rational_brute_force(self):
@@ -207,6 +196,15 @@ class TestResiduesMod4:
     def test_not_integral(self):
         with pytest.raises(NotIntegral):
             is_qr_mod4(Q(Fraction(1, 2)))
+        with pytest.raises(NotIntegral):
+            sqrt_mod4(QS5(0, Fraction(1, 3)))
+
+    def test_sqrt_mod4_is_the_extension_w(self):
+        assert sqrt_mod4(Q(-23)) == Q(1) and sqrt_mod4(Q(-8)) == Q(0)
+        assert sqrt_mod4(Q(2)) is None
+        for tag, d in (("q_i", (-5, 0)), ("q_sqrt2", (-1, 2)), ("q_sqrt13", (-5, 1))):
+            f = field(tag)
+            assert sqrt_mod4(f(*d)) == make_extension(f, f(*d)).w
 
 
 class TestSqrt:

@@ -96,6 +96,51 @@ class TestCommands:
         assert report["text"] == "1,1w,1"
 
 
+class TestTextOutput:
+    """Byte-exact stdout of the text format, the default."""
+
+    def test_compose_without_d(self, capsys):
+        code, out = run_cli(
+            capsys, "compose", "--base", "q", "--f1", "2,1,3", "--f2", "2,1,3"
+        )
+        assert code == 0
+        assert out == (
+            'form: {"a":{"c0":"4","c1":"0"},"b":{"c0":"5","c1":"0"},'
+            '"c":{"c0":"3","c1":"0"}}\n'
+            "text: 4,5,3\n"
+            "reduced: 2,-1,3\n"
+        )
+
+    def test_compose_negative_definite(self, capsys):
+        # (2, 1, 3) with (-2, 1, -3) composes to the negative definite
+        # (-4, 5, -3), which reduces like a positive definite form
+        expected = (
+            'form: {"a":{"c0":"-4","c1":"0"},"b":{"c0":"5","c1":"0"},'
+            '"c":{"c0":"-3","c1":"0"}}\n'
+            "text: -4,5,-3\n"
+            "reduced: -2,-1,-3\n"
+        )
+        for d_args in ((), ("--d", "-23")):
+            code, out = run_cli(
+                capsys, "compose", "--base", "q", *d_args,
+                "--f1", "2,1,3", "--f2=-2,1,-3", "--format", "text",
+            )
+            assert (code, out) == (0, expected), d_args
+
+    def test_classtable_non_discriminant(self, capsys):
+        # d = 2, 3 (mod 4) is no discriminant: no forms
+        code, out = run_cli(
+            capsys, "classtable", "--base", "q", "--d", "-21", "--format", "text"
+        )
+        assert code == 0
+        assert out == 'd: {"c0":"-21","c1":"0"}\ncount: 0\nclasses: []\n'
+        code, out = run_cli(
+            capsys, "classtable", "--base", "q", "--d", "-6", "--format", "json"
+        )
+        assert code == 0
+        assert out == '{"classes":[],"count":0,"d":{"c0":"-6","c1":"0"}}\n'
+
+
 class TestExitCodes:
     def test_parse_error(self, capsys):
         code, out = run_cli(capsys, "compose", "--base", "q", "--f1", "2,1,3",

@@ -155,6 +155,30 @@ class TestPsi:
         assert res.status == EQUIVALENT
 
 
+class TestTpUnitSqrt:
+    def test_powers_of_the_fundamental_unit(self):
+        # eps has norm -1, so +eps^k is the square of a totally positive
+        # unit exactly when 4 | k, and -eps^k never is
+        for tag in ("q_sqrt2", "q_sqrt5", "q_sqrt13"):
+            f = field(tag)
+            eps = f.fundamental_unit
+            for k in range(-30, 31):
+                got = tp_unit_sqrt(f, eps**k)
+                if k % 4:
+                    assert got is None, (tag, k)
+                else:
+                    assert got == eps ** (k // 2), (tag, k)
+                assert tp_unit_sqrt(f, -(eps**k)) is None, (tag, k)
+
+    def test_rational_and_gaussian(self):
+        assert tp_unit_sqrt(Q, Q(1)) == Q(1)
+        assert tp_unit_sqrt(Q, Q(4)) is None and tp_unit_sqrt(Q, Q(-1)) is None
+        assert tp_unit_sqrt(QI, QI(1)) == QI(1)
+        assert tp_unit_sqrt(QI, QI(-1)) == QI.omega
+        assert tp_unit_sqrt(QI, QI(0, 1)) is None
+        assert tp_unit_sqrt(QS5, QS5(7)) is None
+
+
 class TestIdentityAndInverse:
     def test_identity_forms(self):
         assert identity_form(E4) == QuadraticForm(Q, 1, 0, 1)

@@ -281,6 +281,12 @@ class TestReduction:
         q = QuadraticForm(Q, 3, -1, 2)
         assert reduce_form_q(q) == QuadraticForm(Q, 2, 1, 3)
 
+    def test_negative_definite(self):
+        # the reduced form of -q is -(reduced form of q)
+        want = QuadraticForm(Q, -2, -1, -3)
+        assert reduce_form_q(QuadraticForm(Q, -4, 5, -3)) == want
+        assert reduce_form_q(QuadraticForm(Q, -3, 1, -2)) == want
+
     def test_wrong_inputs(self):
         with pytest.raises(IndefiniteForm):
             reduce_form_q(QuadraticForm(Q, 1, 0, -10))

@@ -1,6 +1,7 @@
 """Ideal bases, orientation, reduction, multiplication, and equivalence."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -33,6 +34,7 @@ from qfc import (
     reduce_generators,
     rel_norm_ideal,
 )
+from qfc.ideals import _coordinate_box
 
 QI = field("q_i")
 QS5 = field("q_sqrt5")
@@ -408,6 +410,16 @@ class TestOrientedEquivalent:
         b = psi(QuadraticForm(Q, 2, 1, -150), ext).basis
         gamma = principal_generator_q(b)
         assert IdealBasis(gamma, gamma * ext.omega, _checked=True).same_module(b)
+
+    def test_coordinate_box_shell_order(self):
+        # shell by shell, the filtered product of all four coordinates
+        expected = [
+            (QS5(a, b), QS5(c, e))
+            for k in range(4)
+            for a, b, c, e in product(range(-k, k + 1), repeat=4)
+            if max(map(abs, (a, b, c, e))) == k
+        ]
+        assert list(_coordinate_box(QS5, 3)) == expected
 
 
 class TestValidation:

@@ -1,8 +1,9 @@
-"""Property tests of equivalence over Q: random discriminants, matrices and
-scalings drawn by hypothesis."""
+"""Property tests drawn by hypothesis: equivalence over Q (random
+discriminants, matrices and scalings) and square roots in K on every base."""
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd, isqrt
 
 import pytest
@@ -13,11 +14,14 @@ from hypothesis import strategies as st  # noqa: E402
 
 from qfc import (  # noqa: E402
     EQUIVALENT,
+    REGISTRY,
     OrientedIdeal,
     Q,
     QuadraticForm,
     Transformation,
     is_fundamental,
+    is_qr_mod4,
+    k_sqrt,
     make_extension,
     oriented_equivalent,
     proper_equivalence,
@@ -102,3 +106,45 @@ def test_scaled_ideal_is_equivalent(d, pick, steps, x, y, den, flip):
     assert res.status == EQUIVALENT
     assert a.basis.scale(res.gamma).same_module(b.basis)
     assert res.gamma.norm().signs() == (a.eps[0] * b.eps[0],)
+
+
+# -- square roots in K, on all five bases -------------------------------------
+
+BASES = list(REGISTRY.values())
+rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+small = st.integers(-3, 3)
+
+
+def _element(f, c0, c1):
+    return f(c0, 0 if f.is_rational else c1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(BASES), rationals, rationals)
+def test_k_sqrt_of_a_square(f, c0, c1):
+    y = _element(f, c0, c1)
+    r = k_sqrt(y * y)
+    assert r in (y, -y)
+    # the documented root: c1 > 0, or c1 = 0 and c0 >= 0
+    assert r.c1 > 0 or (r.c1 == 0 and r.c0 >= 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(BASES), rationals, rationals, small, small)
+def test_k_sqrt_squares_back(f, c0, c1, z0, z1):
+    # y^2 * z is a square for some small z (1, -1 on Q(i), m, ...), not others
+    x = _element(f, c0, c1) ** 2 * _element(f, z0, z1)
+    r = k_sqrt(x)
+    assert r is None or r * r == x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(BASES), st.integers(-60, 60), st.integers(-60, 60))
+def test_is_qr_mod4_exhaustive(f, c0, c1):
+    d = _element(f, c0, c1)
+    if f.is_rational:
+        residues = [f(a) for a in range(4)]
+    else:
+        residues = [f(a, b) for a, b in product(range(4), repeat=2)]
+    expected = any(((t * t - d) / 4).is_integral() for t in residues)
+    assert is_qr_mod4(d) == expected
