@@ -406,25 +406,25 @@ def _abs_emb_cmp(u: BaseElement, v: BaseElement) -> int:
 
 
 def _unit_slide(x: BaseElement, unit: BaseElement, unit_inv: BaseElement):
-    """The multiples x * unit^k minimizing |sigma_1| + |sigma_2|, as pairs
-    (y, k): one pair, or two on a tie, in a fixed order.
+    """The multiples x * unit^k minimizing |sigma_1| + |sigma_2|: one, or
+    two on a tie, in a fixed order.
 
     The sum is strictly convex in k; T(y*unit) < T(y) iff
     |sigma_1(y*unit)| < |sigma_2(y)|, so walk toward smaller sums first with
     unit, then with unit_inv, then compare with both neighbours.
     """
-    y, k = x, 0
+    y = x
     up = y * unit
     while _abs_emb_cmp(up, y) < 0:
-        y, up, k = up, up * unit, k + 1
+        y, up = up, up * unit
     down = y * unit_inv
     while _abs_emb_cmp(y, down) > 0:
-        y, up, down, k = down, y, down * unit_inv, k - 1
-    candidates = [(y, k)]
+        y, up, down = down, y, down * unit_inv
+    candidates = [y]
     if _abs_emb_cmp(up, y) == 0:
-        candidates.append((up, k + 1))
+        candidates.append(up)
     if _abs_emb_cmp(y, down) == 0:
-        candidates.append((down, k - 1))
+        candidates.append(down)
     return candidates
 
 
@@ -447,7 +447,7 @@ def canonical_associate(x: BaseElement) -> BaseElement:
         return x
     eps = f.fundamental_unit
     candidates = _unit_slide(x, eps, f.one / eps)
-    fixed = [c if c.sign_at(0) > 0 else -c for c, _ in candidates]
+    fixed = [c if c.sign_at(0) > 0 else -c for c in candidates]
     return min(fixed, key=lambda c: (c.c0, c.c1))
 
 

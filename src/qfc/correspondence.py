@@ -23,10 +23,9 @@ from .errors import (
     NotPrimitive,
     OrientationMismatch,
     SquareInput,
-    WrongBase,
 )
 from .extension import Extension, ExtElement, make_extension
-from .forms import QuadraticForm, count_cycles_q, enumerate_classes_q
+from .forms import QuadraticForm, _int_over_q, count_cycles_q, enumerate_classes_q
 from .ideals import IdealBasis, OrientedIdeal, ideal_mul
 
 
@@ -46,26 +45,20 @@ def tp_unit_sqrt(field: Field, ratio: BaseElement):
     return u if u.is_totally_positive() else None
 
 
-def canonical_disc(field: Field, d: BaseElement):
-    """Canonical representative of the orbit {u^2 d : u in U_K^+}.
+def canonical_disc(field: Field, d: BaseElement) -> BaseElement:
+    """Canonical representative d_star of the orbit {u^2 d : u in U_K^+}.
 
-    Returns (d_star, u) with d = u^2 * d_star and u totally positive.
     Over Q the orbit is a point; over Q(i) it is {d, -d}; over a real
-    quadratic field it is the eps^4 orbit, minimized like associates.
+    quadratic field it is the eps^4 orbit, minimized like associates.  The
+    unit with d = u^2 * d_star is tp_unit_sqrt(field, d / d_star).
     """
     if field.is_rational:
-        return d, field.one
+        return d
     if field.r == 0:
-        if d.c0 > 0 or (d.c0 == 0 and d.c1 > 0):
-            return d, field.one
-        return -d, field.omega
+        return d if d.c0 > 0 or (d.c0 == 0 and d.c1 > 0) else -d
     eps4 = field.fundamental_unit ** 4
     # N(eps^4) = 1, so its inverse is its conjugate
-    candidates = _unit_slide(d, eps4, eps4.conj())
-    d_star, k = min(candidates, key=lambda c: (c[0].c0, c[0].c1))
-    # d = d_star * eps^{4(-k)} ... track the exponent back to d
-    u = field.fundamental_unit ** (-2 * k)
-    return d_star, u
+    return min(_unit_slide(d, eps4, eps4.conj()), key=lambda c: (c.c0, c.c1))
 
 
 def phi(a: OrientedIdeal) -> QuadraticForm:
@@ -97,7 +90,7 @@ def psi(q: QuadraticForm, ext: Extension | None = None) -> OrientedIdeal:
         raise NotPrimitive("psi requires a primitive form")
     dq = q.disc()
     if ext is None:
-        ext = make_extension(q.field, canonical_disc(q.field, dq)[0])
+        ext = make_extension(q.field, canonical_disc(q.field, dq))
     u = tp_unit_sqrt(q.field, dq / ext.d)
     if u is None:
         raise DiscriminantNotInClass(
@@ -105,8 +98,7 @@ def psi(q: QuadraticForm, ext: Extension | None = None) -> OrientedIdeal:
         )
     alpha = ext.from_base(q.a)
     beta = ext.element(-q.b / 2, u / 2)
-    eps = q.a.signs() if q.field.r > 0 else ()
-    return OrientedIdeal(IdealBasis(alpha, beta), eps)
+    return OrientedIdeal(IdealBasis(alpha, beta), q.a.signs())
 
 
 def identity_form(ext: Extension) -> QuadraticForm:
@@ -123,18 +115,24 @@ def inverse_form(q: QuadraticForm) -> QuadraticForm:
     return QuadraticForm(q.field, q.a, -q.b, q.c)
 
 
-def compose(q1: QuadraticForm, q2: QuadraticForm) -> QuadraticForm:
-    """Composition through the ideal side; the result has discriminant equal
-    to the canonical representative of the common orbit."""
+def compose(
+    q1: QuadraticForm, q2: QuadraticForm, ext: Extension | None = None
+) -> QuadraticForm:
+    """Composition through the ideal side: phi(psi(q1) * psi(q2)).
+
+    Without `ext`, both discriminants must have the same canonical
+    representative, and the result has that discriminant.  With `ext`, psi
+    maps both forms into it and the result has discriminant ext.d.
+    """
     if q1.field is not q2.field:
         raise ValueError("forms over different base fields")
-    d1, _ = canonical_disc(q1.field, q1.disc())
-    d2, _ = canonical_disc(q2.field, q2.disc())
-    if d1 != d2:
-        raise DiscriminantNotInClass(
-            "forms have discriminants in different unit-square orbits"
-        )
-    ext = make_extension(q1.field, d1)
+    if ext is None:
+        d1 = canonical_disc(q1.field, q1.disc())
+        if d1 != canonical_disc(q2.field, q2.disc()):
+            raise DiscriminantNotInClass(
+                "forms have discriminants in different unit-square orbits"
+            )
+        ext = make_extension(q1.field, d1)
     return phi(ideal_mul(psi(q1, ext), psi(q2, ext)))
 
 
@@ -181,15 +179,13 @@ def ocl_structure_q(d) -> OclReport:
     and equals h in case 3 and 2h in case 2.  The fundamental unit and its
     norm come from one walk of the principal rho-cycle.
     """
-    if isinstance(d, BaseElement):
-        if not d.field.is_rational:
-            raise WrongBase("oriented class group reports are over Q only")
-        d_int = int(d.c0)
-    else:
-        d_int = int(d)
-        d = _Q(d_int)
+    d_int = _int_over_q(
+        d,
+        "oriented class group reports are over Q only",
+        "fundamentality requires an element of O_K",
+    )
     try:
-        ext = make_extension(_Q, d)
+        ext = make_extension(_Q, _Q(d_int))
     except NotFundamental:
         raise NotFundamental(f"{d_int} is not a fundamental discriminant") from None
     if d_int < 0:

@@ -58,8 +58,6 @@ class Extension:
 
     def totally_negative_d(self) -> bool:
         """D < 0 under every real embedding (vacuous for Q(i))."""
-        if self.base.r == 0:
-            return True
         return all(s == -1 for s in self.d.signs())
 
     def __eq__(self, other):

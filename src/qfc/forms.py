@@ -297,13 +297,22 @@ def proper_equivalence(f: QuadraticForm, g: QuadraticForm):
     return t
 
 
+def _int_over_q(d, wrong_base: str, not_integral: str = "d must be an integer") -> int:
+    """d, an int, a Fraction or an element of Q, as an int; an element of
+    another base raises WrongBase(wrong_base), a non-integer NotIntegral."""
+    if isinstance(d, BaseElement):
+        if not d.field.is_rational:
+            raise WrongBase(wrong_base)
+        d = d.c0
+    if d != int(d):
+        raise NotIntegral(not_integral)
+    return int(d)
+
+
 def enumerate_classes_q(d) -> list[QuadraticForm]:
     """All reduced primitive positive definite forms of discriminant d < 0
     over Q, sorted lexicographically on (a, b, c)."""
-    if isinstance(d, BaseElement):
-        if not d.field.is_rational:
-            raise WrongBase("class enumeration is implemented over Q only")
-        d = int(d.c0)
+    d = _int_over_q(d, "class enumeration is implemented over Q only")
     if d >= 0:
         raise IndefiniteForm("class enumeration needs d < 0")
     if d % 4 not in (0, 1):
@@ -327,10 +336,7 @@ def count_cycles_q(d) -> int:
     The step rho permutes the reduced forms, and its cycles are the proper
     equivalence classes (Buchmann & Vollmer, ch. 6; Cohen, GTM 138, 5.6).
     """
-    if isinstance(d, BaseElement):
-        if not d.field.is_rational:
-            raise WrongBase("cycle counting is implemented over Q only")
-        d = int(d.c0)
+    d = _int_over_q(d, "cycle counting is implemented over Q only")
     if d <= 0 or isqrt(d) ** 2 == d:
         raise ValueError("cycle counting needs a positive non-square d")
     s = isqrt(d)

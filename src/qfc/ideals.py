@@ -62,7 +62,7 @@ class IdealBasis:
         det = self.det_m()
         if det.is_zero():
             raise DegenerateBasis("zero determinant")
-        return det.signs() if self.ext.base.r > 0 else ()
+        return det.signs()
 
     def norm_form(self):
         """Coefficients (a, b, c) of N(alpha x - beta y) / det M, the
@@ -226,8 +226,7 @@ class OrientedIdeal:
 
     def scale(self, gamma: ExtElement) -> "OrientedIdeal":
         """Multiplication by the principal oriented ideal of gamma."""
-        nsigns = gamma.norm().signs() if self.ext.base.r > 0 else ()
-        eps = tuple(e * s for e, s in zip(self.eps, nsigns))
+        eps = tuple(e * s for e, s in zip(self.eps, gamma.norm().signs()))
         return OrientedIdeal(self.basis.scale(gamma), eps)
 
     def __mul__(self, other):
@@ -250,8 +249,7 @@ def principal_oriented(gamma: ExtElement) -> OrientedIdeal:
         raise DegenerateBasis("zero generator")
     ext = gamma.ext
     basis = IdealBasis(gamma, gamma * ext.omega, _checked=True)
-    eps = gamma.norm().signs() if ext.base.r > 0 else ()
-    return OrientedIdeal(basis, eps)
+    return OrientedIdeal(basis, gamma.norm().signs())
 
 
 def _product_basis(x: IdealBasis, y: IdealBasis) -> IdealBasis:
@@ -340,7 +338,7 @@ def oriented_equivalent(
     def witness_ok(gamma):
         if gamma.is_zero():
             return False
-        if base.r > 0 and gamma.norm().signs() != target:
+        if gamma.norm().signs() != target:
             return False
         return a.basis.scale(gamma).same_module(b.basis)
 

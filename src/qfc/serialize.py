@@ -141,7 +141,7 @@ def parse_k_coord(f: Field, text: str) -> BaseElement:
         if not m or (not m.group(2) and not m.group(3)):
             raise ParseError(f"bad coordinate term {term!r} in {text!r}")
         sign = -1 if m.group(1) == "-" else 1
-        mag = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+        mag = rational_from_str(m.group(2)) if m.group(2) else Fraction(1)
         if m.group(3):
             c1 += sign * mag
         else:

@@ -167,6 +167,12 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["error"] == "square_input"
 
+    def test_classtable_non_integral(self, capsys):
+        # -47/2 must not be answered with the classes of -23
+        code, out = run_cli(capsys, "classtable", "--base", "q", "--d=-47/2")
+        assert code == 2
+        assert json.loads(out)["error"] == "not_integral"
+
 
 class TestErrorContract:
     """Unreadable or malformed input ends in the parse_error object, exit 1."""
@@ -220,6 +226,20 @@ class TestErrorContract:
         self.assert_parse_error(*run_cli(
             capsys, "identity", "--base", "q", "--d", "-4"
         ))
+
+    def test_bound_option_rejected(self, capsys):
+        # no command searches, so there is no --bound to pass
+        self.assert_parse_error(*run_cli(
+            capsys, "identity", "--base", "q", "--d", "-4", "--bound", "5"
+        ))
+
+    def test_zero_denominator(self, capsys):
+        for argv in (
+            ("identity", "--base", "q", "--d=1/0"),
+            ("psi", "--base", "q", "--form=1/0,1,1"),
+            ("fundcheck", "--base", "q_sqrt5", "--d=3/0w"),
+        ):
+            self.assert_parse_error(*run_cli(capsys, *argv))
 
 
 class TestDeterminism:

@@ -18,6 +18,7 @@ from qfc import (
     DomainError,
     IdealBasis,
     NotFundamental,
+    NotIntegral,
     NotPrimitive,
     OrientationMismatch,
     OrientedIdeal,
@@ -144,7 +145,7 @@ class TestPsi:
         # psi(uQ) = (u) * psi(Q) exactly, elementwise, for tp units u
         eps2 = QS5.fundamental_unit ** 2
         q = QuadraticForm(QS5, 1, 0, 1)
-        d_star, _ = canonical_disc(QS5, q.disc())
+        d_star = canonical_disc(QS5, q.disc())
         ext = make_extension(QS5, d_star)
         a = psi(q, ext)
         b = psi(q.scale(eps2), ext)
@@ -221,6 +222,33 @@ class TestCompose:
     def test_disc_mismatch(self):
         with pytest.raises(DiscriminantNotInClass):
             compose(QuadraticForm(Q, 1, 0, 1), QuadraticForm(Q, 2, 1, 3))
+
+    def test_given_extension(self, rng):
+        # on every base, compose(q1, q2, ext) with ext built from the
+        # canonical representative is compose(q1, q2); q2 is scaled by a
+        # totally positive unit, so its discriminant is another orbit member
+        for tag in ("q", "q_i", "q_sqrt2", "q_sqrt5", "q_sqrt13"):
+            f = field(tag)
+            if f.is_rational:
+                unit = f.one
+            elif f.r == 0:
+                unit = f.omega
+            else:
+                unit = f.fundamental_unit ** 2
+            for _ in range(3):
+                q1 = random_fundamental_form(f, rng)
+                ext = make_extension(f, canonical_disc(f, q1.disc()))
+                q2 = rng.choice(forms_with_disc(f, ext.d, 3)).scale(unit)
+                assert compose(q1, q2, ext) == compose(q1, q2), (tag, q1, q2)
+
+    def test_given_extension_of_another_orbit(self):
+        q = QuadraticForm(Q, 2, 1, 3)
+        with pytest.raises(DiscriminantNotInClass) as info:
+            compose(q, q, E4)
+        assert "is not u^2 * -4" in str(info.value)
+        q5 = QuadraticForm(QS5, 1, 0, 1)
+        with pytest.raises(DiscriminantNotInClass):
+            compose(q5, q5, make_extension(QS5, QS5(-8)))
 
     def test_d47_group_closure(self):
         # h(-47) = 5: the composition table is a group table (every row a
@@ -451,6 +479,13 @@ class TestOclStructure:
             assert str(info.value) == f"{d} is not a fundamental discriminant"
         with pytest.raises(WrongBase):
             ocl_structure_q(QS5(-4))
+
+    def test_non_integral(self):
+        # -47/2 must not be read as -23
+        for d in (Fraction(-47, 2), Q(Fraction(-47, 2))):
+            with pytest.raises(NotIntegral) as info:
+                ocl_structure_q(d)
+            assert str(info.value) == "fundamentality requires an element of O_K"
 
 
 # (case, h, ocl_order, unit_norm) per fundamental D > 0

@@ -12,6 +12,7 @@ from qfc import (
     IndefiniteForm,
     InvalidTransformation,
     NotAUnit,
+    NotIntegral,
     Q,
     QuadraticForm,
     Transformation,
@@ -321,6 +322,12 @@ class TestEnumeration:
         with pytest.raises(WrongBase):
             enumerate_classes_q(QS5(-4))
 
+    def test_non_integral(self):
+        # -47/2 must not be read as -23
+        for d in (Fraction(-47, 2), Q(Fraction(-47, 2))):
+            with pytest.raises(NotIntegral):
+                enumerate_classes_q(d)
+
     def test_against_definition_oracle(self):
         # independent loops straight from the reduced-form definition
         def oracle(d):
@@ -372,6 +379,9 @@ class TestCycles:
                 count_cycles_q(d)
         with pytest.raises(WrongBase):
             count_cycles_q(field("q_sqrt5")(5))
+        for d in (Fraction(81, 2), Q(Fraction(81, 2))):
+            with pytest.raises(NotIntegral):
+                count_cycles_q(d)
 
 
 

@@ -24,6 +24,7 @@ from qfc import (
     QuadraticForm,
     RankDeficient,
     Transformation,
+    ZeroArgument,
     field,
     ideal_mul,
     make_extension,
@@ -93,6 +94,13 @@ class TestOrientation:
     def test_gaussian_empty(self):
         e = make_extension(QI, QI(0, 4))
         assert unit_ideal(e).orientation() == ()
+
+    def test_scale_by_zero(self):
+        # the sign vector of N(0) is undefined on every base, Q(i) included
+        for ext in (E23, E5N4, make_extension(QI, QI(0, 4))):
+            ideal = OrientedIdeal(unit_ideal(ext), (1,) * ext.base.r)
+            with pytest.raises(ZeroArgument):
+                ideal.scale(ext.zero)
 
     def test_basis_change_scales_det(self, rng):
         for ext in (E23, E40, E5N4):

@@ -7,12 +7,17 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "qfc"
 
 
+def _trees():
+    """(file name, module AST) for every module of the library."""
+    for path in sorted(SRC.rglob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
 def _nodes():
     """(file name, node) for every AST node of the library."""
-    for path in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for name, tree in _trees():
         for node in ast.walk(tree):
-            yield path.name, node
+            yield name, node
 
 
 def test_no_assert_statements():
@@ -41,5 +46,28 @@ def test_standard_library_only():
             f"{name}:{node.lineno}:{module}"
             for module in modules
             if module.split(".")[0] not in sys.stdlib_module_names
+        ]
+    assert found == []
+
+
+def test_no_unused_imports():
+    # a name a module imports and never reads is left over from a deletion;
+    # __init__.py imports only to re-export
+    found = []
+    for name, tree in _trees():
+        if name == "__init__.py":
+            continue
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    imported[bound] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+        found += [
+            f"{name}:{line}:{bound}"
+            for bound, line in imported.items()
+            if bound not in used
         ]
     assert found == []

@@ -1,5 +1,6 @@
 """Property tests drawn by hypothesis: equivalence over Q (random
-discriminants, matrices and scalings) and square roots in K on every base."""
+discriminants, matrices and scalings), and square roots and canonical
+discriminants in K on every base."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -19,6 +20,7 @@ from qfc import (  # noqa: E402
     Q,
     QuadraticForm,
     Transformation,
+    canonical_disc,
     is_fundamental,
     is_qr_mod4,
     k_sqrt,
@@ -26,6 +28,7 @@ from qfc import (  # noqa: E402
     oriented_equivalent,
     proper_equivalence,
     psi,
+    tp_unit_sqrt,
 )
 
 FUNDAMENTAL = [
@@ -148,3 +151,28 @@ def test_is_qr_mod4_exhaustive(f, c0, c1):
         residues = [f(a, b) for a, b in product(range(4), repeat=2)]
     expected = any(((t * t - d) / 4).is_integral() for t in residues)
     assert is_qr_mod4(d) == expected
+
+
+# -- canonical discriminants, on all five bases -------------------------------
+
+
+def _tp_unit(f, k):
+    """A totally positive unit: eps^(2k) on a real quadratic base, i^k over
+    Q(i), 1 over Q."""
+    if f.is_rational:
+        return f.one
+    if f.r == 0:
+        return f.omega ** (k % 4)
+    return f.fundamental_unit ** (2 * k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(BASES), rationals, rationals, st.integers(-6, 6))
+def test_canonical_disc_is_an_orbit_invariant(f, c0, c1, k):
+    d = _element(f, c0, c1)
+    if d.is_zero():
+        return
+    u = _tp_unit(f, k)
+    d_star = canonical_disc(f, d)
+    assert canonical_disc(f, u * u * d) == d_star
+    assert tp_unit_sqrt(f, d / d_star) is not None
