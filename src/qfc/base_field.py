@@ -7,15 +7,17 @@ and units of every sign pattern exist).  Extending the registry is a config
 change, but candidates must satisfy both properties; Q(sqrt 3) for instance
 is excluded because its fundamental unit has norm +1.
 
-Elements are pairs of rationals over the integral basis {1, w}, where w is
-sqrt(m) for m = -1, 2 and (1 + sqrt(m))/2 for m = 5, 13.  Signs under the
-real embeddings are decided by exact rational case analysis; no floating
-point anywhere.
+An element is (n0 + n1*w)/den over the integral basis {1, w}, where w is
+sqrt(m) for m = -1, 2 and (1 + sqrt(m))/2 for m = 5, 13: integers n0, n1
+and one positive denominator with the content removed, so equal elements
+have equal triples.  The coordinates c0, c1 are read as Fractions.  Signs
+under the real embeddings are decided by exact integer case analysis; no
+floating point anywhere.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import floor, isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import (
     DivisionByZero,
@@ -24,20 +26,6 @@ from .errors import (
     SquareInput,
     ZeroArgument,
 )
-
-
-def _frac(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    raise TypeError(f"expected int or Fraction, got {type(v).__name__}")
-
-
-def _round_half_up(f: Fraction) -> int:
-    # nearest integer, ties toward +inf; the offset from f is at most 1/2,
-    # which keeps the Euclidean remainders below norm 1 on every registry field
-    return floor(f + Fraction(1, 2))
 
 
 def _rat_sqrt(f: Fraction) -> Fraction | None:
@@ -144,20 +132,39 @@ class Field:
 
 
 class BaseElement:
-    """An element c0 + c1*w of K, coordinates kept as reduced Fractions."""
+    """An element (n0 + n1*w)/den of K.
 
-    __slots__ = ("field", "c0", "c1")
+    n0, n1 and den are integers with den > 0 and gcd(n0, n1, den) = 1, so
+    equal elements have equal triples; c0 and c1 are the coordinates as
+    Fractions.  Every operation works on the integers.
+    """
+
+    __slots__ = ("field", "n0", "n1", "den")
 
     def __init__(self, field: Field, c0, c1=0):
-        c0, c1 = _frac(c0), _frac(c1)
-        if field.is_rational and c1 != 0:
+        for v in (c0, c1):
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"expected int or Fraction, got {type(v).__name__}")
+        den = lcm(c0.denominator, c1.denominator)
+        n0 = c0.numerator * (den // c0.denominator)
+        n1 = c1.numerator * (den // c1.denominator)
+        if field.is_rational and n1 != 0:
             raise ValueError("elements of Q have no w coordinate")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "c0", c0)
-        object.__setattr__(self, "c1", c1)
+        _SET_FIELD(self, field)
+        _SET_N0(self, n0)
+        _SET_N1(self, n1)
+        _SET_DEN(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("BaseElement is immutable")
+
+    @property
+    def c0(self) -> Fraction:
+        return Fraction(self.n0, self.den)
+
+    @property
+    def c1(self) -> Fraction:
+        return Fraction(self.n1, self.den)
 
     def _coerce(self, other):
         if isinstance(other, BaseElement):
@@ -165,8 +172,14 @@ class BaseElement:
                 raise ValueError("elements of different base fields")
             return other
         if isinstance(other, (int, Fraction)):
-            return BaseElement(self.field, other)
+            return _new(self.field, other.numerator, 0, other.denominator)
         return None
+
+    def _norm_num(self) -> int:
+        """(n0 + n1*w)*conj(n0 + n1*w), so that self*conj(self) is
+        _norm_num() / den^2; this is the norm when K is quadratic."""
+        f, n0, n1 = self.field, self.n0, self.n1
+        return n0 * n0 + f.omega_trace * n0 * n1 + f.omega_norm * n1 * n1
 
     # -- ring operations ---------------------------------------------------
 
@@ -174,7 +187,12 @@ class BaseElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return BaseElement(self.field, self.c0 + o.c0, self.c1 + o.c1)
+        return _elem(
+            self.field,
+            self.n0 * o.den + o.n0 * self.den,
+            self.n1 * o.den + o.n1 * self.den,
+            self.den * o.den,
+        )
 
     __radd__ = __add__
 
@@ -182,7 +200,7 @@ class BaseElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return BaseElement(self.field, self.c0 - o.c0, self.c1 - o.c1)
+        return self + -o
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -191,7 +209,7 @@ class BaseElement:
         return o - self
 
     def __neg__(self):
-        return BaseElement(self.field, -self.c0, -self.c1)
+        return _new(self.field, -self.n0, -self.n1, self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -199,11 +217,12 @@ class BaseElement:
             return NotImplemented
         f = self.field
         # w^2 = trace*w - norm
-        cross = self.c1 * o.c1
-        return BaseElement(
+        cross = self.n1 * o.n1
+        return _elem(
             f,
-            self.c0 * o.c0 - cross * f.omega_norm,
-            self.c0 * o.c1 + self.c1 * o.c0 + cross * f.omega_trace,
+            self.n0 * o.n0 - cross * f.omega_norm,
+            self.n0 * o.n1 + self.n1 * o.n0 + cross * f.omega_trace,
+            self.den * o.den,
         )
 
     __rmul__ = __mul__
@@ -214,10 +233,17 @@ class BaseElement:
             return NotImplemented
         if o.is_zero():
             raise DivisionByZero("division by zero in K")
-        if self.field.is_rational:
-            return BaseElement(self.field, self.c0 / o.c0)
-        n = o.norm()
-        return self * o.conj() * BaseElement(self.field, Fraction(1) / n)
+        f = self.field
+        # x / y = x * conj(y) / (y * conj(y)); the numerators of y and
+        # conj(y) leave den(y) over, and y * conj(y) has den(y)^2
+        c0, c1 = o.n0 + o.n1 * f.omega_trace, -o.n1
+        cross = self.n1 * c1
+        return _elem(
+            f,
+            (self.n0 * c0 - cross * f.omega_norm) * o.den,
+            (self.n0 * c1 + self.n1 * c0 + cross * f.omega_trace) * o.den,
+            self.den * o._norm_num(),
+        )
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -239,15 +265,25 @@ class BaseElement:
 
     def __eq__(self, other):
         if isinstance(other, BaseElement):
-            if other.field is not self.field:
-                return False
-            return self.c0 == other.c0 and self.c1 == other.c1
+            return (
+                other.field is self.field
+                and self.n0 == other.n0
+                and self.n1 == other.n1
+                and self.den == other.den
+            )
         if isinstance(other, (int, Fraction)):
-            return self.c1 == 0 and self.c0 == other
+            return (
+                self.n1 == 0
+                and self.n0 == other.numerator
+                and self.den == other.denominator
+            )
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field.tag, self.c0, self.c1))
+        # a rational element hashes as the int or Fraction it equals
+        if self.n1 == 0:
+            return hash(self.n0 if self.den == 1 else self.c0)
+        return hash((self.n0, self.n1, self.den))
 
     def __bool__(self):
         return not self.is_zero()
@@ -257,37 +293,39 @@ class BaseElement:
     def conj(self) -> "BaseElement":
         """The nontrivial automorphism of K/Q (identity on Q)."""
         f = self.field
-        return BaseElement(f, self.c0 + self.c1 * f.omega_trace, -self.c1)
+        return _new(f, self.n0 + self.n1 * f.omega_trace, -self.n1, self.den)
 
     def norm(self) -> Fraction:
         """Norm down to Q."""
-        f = self.field
-        if f.is_rational:
+        if self.field.is_rational:
             return self.c0
-        return (
-            self.c0 * self.c0
-            + f.omega_trace * self.c0 * self.c1
-            + f.omega_norm * self.c1 * self.c1
-        )
+        return Fraction(self._norm_num(), self.den * self.den)
 
     def trace(self) -> Fraction:
-        return 2 * self.c0 + self.field.omega_trace * self.c1
+        return Fraction(2 * self.n0 + self.field.omega_trace * self.n1, self.den)
 
     def is_zero(self) -> bool:
-        return self.c0 == 0 and self.c1 == 0
+        return self.n0 == 0 and self.n1 == 0
 
     def is_integral(self) -> bool:
-        return self.c0.denominator == 1 and self.c1.denominator == 1
+        return self.den == 1
 
     def is_unit(self) -> bool:
-        return self.is_integral() and abs(self.norm()) == 1
+        return self.den == 1 and abs(self._norm_num()) == 1
 
     def denominator(self) -> int:
-        return lcm(self.c0.denominator, self.c1.denominator)
+        return self.den
 
     def round_coords(self) -> "BaseElement":
-        return BaseElement(
-            self.field, _round_half_up(self.c0), _round_half_up(self.c1)
+        """Each coordinate rounded to the nearest integer, ties toward +inf;
+        the offset is at most 1/2, which keeps the Euclidean remainders
+        below norm 1 on every registry field."""
+        den2 = 2 * self.den
+        return _new(
+            self.field,
+            (2 * self.n0 + self.den) // den2,
+            (2 * self.n1 + self.den) // den2,
+            1,
         )
 
     # -- real embeddings ---------------------------------------------------
@@ -298,13 +336,12 @@ class BaseElement:
         if not 0 <= i < f.r:
             raise ValueError(f"field {f.tag} has {f.r} real embeddings")
         if f.is_rational:
-            return _sign_of_fraction(self.c0)
-        # write the value as a + b*sqrt(m) under sigma_i
+            return _sign(self.n0)
+        # 2*den*self = a + b*sqrt(m) under sigma_1, and den > 0
         if f.half_omega:
-            a = self.c0 + self.c1 / 2
-            b = self.c1 / 2
+            a, b = 2 * self.n0 + self.n1, self.n1
         else:
-            a, b = self.c0, self.c1
+            a, b = 2 * self.n0, 2 * self.n1
         if i == 1:
             b = -b
         return _sign_a_plus_b_sqrt(a, b, f.m)
@@ -322,24 +359,51 @@ class BaseElement:
         return all(s == 1 for s in self.signs())
 
     def __repr__(self):
-        if self.c1 == 0:
+        if self.n1 == 0:
             return str(self.c0)
-        if self.c0 == 0:
+        if self.n0 == 0:
             return f"{self.c1}w"
-        sep = "+" if self.c1 > 0 else "-"
+        sep = "+" if self.n1 > 0 else "-"
         return f"{self.c0}{sep}{abs(self.c1)}w"
 
 
-def _sign_of_fraction(f: Fraction) -> int:
-    return (f > 0) - (f < 0)
+# the slot setters, which BaseElement.__setattr__ does not reach
+_SET_FIELD, _SET_N0, _SET_N1, _SET_DEN = (
+    BaseElement.__dict__[name].__set__ for name in BaseElement.__slots__
+)
 
 
-def _sign_a_plus_b_sqrt(a: Fraction, b: Fraction, m: int) -> int:
+def _new(field, n0, n1, den) -> BaseElement:
+    """The element (n0 + n1*w)/den for a triple already in normal form."""
+    x = object.__new__(BaseElement)
+    _SET_FIELD(x, field)
+    _SET_N0(x, n0)
+    _SET_N1(x, n1)
+    _SET_DEN(x, den)
+    return x
+
+
+def _elem(field, n0, n1, den) -> BaseElement:
+    """The element (n0 + n1*w)/den for any den != 0, brought to normal form."""
+    if den != 1:
+        g = gcd(n0, n1, den)
+        if den < 0:
+            g = -g
+        if g != 1:
+            n0, n1, den = n0 // g, n1 // g, den // g
+    return _new(field, n0, n1, den)
+
+
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _sign_a_plus_b_sqrt(a: int, b: int, m: int) -> int:
     """Sign of a + b*sqrt(m) for m > 1 non-square, by squaring case analysis."""
     if b == 0:
-        return _sign_of_fraction(a)
+        return _sign(a)
     if a == 0:
-        return _sign_of_fraction(b)
+        return _sign(b)
     if a > 0 and b > 0:
         return 1
     if a < 0 and b < 0:
@@ -434,28 +498,29 @@ def canonical_associate(x: BaseElement) -> BaseElement:
     Q: the absolute value.  Q(i): rotated into c0 > 0, c1 >= 0.  Real
     quadratic: the associate minimizing |sigma_1| + |sigma_2| (strictly
     convex along powers of the fundamental unit), sign-fixed so that
-    sigma_1 > 0, ties broken lexicographically on coordinates.
+    sigma_1 > 0, ties broken lexicographically on coordinates (associates
+    share their denominator, so on numerators).
     """
     f = x.field
     if x.is_zero():
         return x
     if f.is_rational:
-        return x if x.c0 > 0 else -x
+        return x if x.n0 > 0 else -x
     if f.r == 0:
-        while not (x.c0 > 0 and x.c1 >= 0):
+        while not (x.n0 > 0 and x.n1 >= 0):
             x = x * f.omega  # w = i; one of four rotations qualifies
         return x
     eps = f.fundamental_unit
     candidates = _unit_slide(x, eps, f.one / eps)
     fixed = [c if c.sign_at(0) > 0 else -c for c in candidates]
-    return min(fixed, key=lambda c: (c.c0, c.c1))
+    return min(fixed, key=lambda c: (c.n0, c.n1))
 
 
 # -- gcd, residues, fundamental elements --------------------------------------
 
 
-def gcd_k(x: BaseElement, y: BaseElement) -> BaseElement:
-    """gcd in O_K by the norm-Euclidean algorithm, canonically normalized.
+def _gcd_core(x: BaseElement, y: BaseElement) -> BaseElement:
+    """A gcd in O_K, up to a unit, by the norm-Euclidean algorithm.
 
     Coordinate rounding keeps |N(x/y - q)| < 1 on every registry field
     (worst case 13/16 on Q(sqrt 13)), so the loop terminates.
@@ -469,7 +534,12 @@ def gcd_k(x: BaseElement, y: BaseElement) -> BaseElement:
     while not y.is_zero():
         q = (x / y).round_coords()
         x, y = y, x - q * y
-    return canonical_associate(x)
+    return x
+
+
+def gcd_k(x: BaseElement, y: BaseElement) -> BaseElement:
+    """gcd in O_K, canonically normalized."""
+    return canonical_associate(_gcd_core(x, y))
 
 
 def sqrt_mod4(d: BaseElement):

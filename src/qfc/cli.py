@@ -30,6 +30,11 @@ def _form_help(opt):
 
 
 class _Parser(argparse.ArgumentParser):
+    # no prefix matching, so that "--form" is not read as "--format"; the
+    # subparsers are built with this class too
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise ParseError(message)
 

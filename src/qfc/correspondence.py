@@ -55,10 +55,11 @@ def canonical_disc(field: Field, d: BaseElement) -> BaseElement:
     if field.is_rational:
         return d
     if field.r == 0:
-        return d if d.c0 > 0 or (d.c0 == 0 and d.c1 > 0) else -d
+        return d if d.n0 > 0 or (d.n0 == 0 and d.n1 > 0) else -d
     eps4 = field.fundamental_unit ** 4
-    # N(eps^4) = 1, so its inverse is its conjugate
-    return min(_unit_slide(d, eps4, eps4.conj()), key=lambda c: (c.c0, c.c1))
+    # N(eps^4) = 1, so its inverse is its conjugate; associates share their
+    # denominator, so the coordinate order is that of the numerators
+    return min(_unit_slide(d, eps4, eps4.conj()), key=lambda c: (c.n0, c.n1))
 
 
 def phi(a: OrientedIdeal) -> QuadraticForm:

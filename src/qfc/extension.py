@@ -23,10 +23,13 @@ class Extension:
     __slots__ = ("base", "d", "w", "z")
 
     def __init__(self, base: Field, d: BaseElement, w: BaseElement, z: BaseElement):
-        self.base = base
-        self.d = d
-        self.w = w
-        self.z = z
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "z", z)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Extension is immutable")
 
     def element(self, x, y=0) -> "ExtElement":
         return ExtElement(self, x, y)
@@ -61,7 +64,7 @@ class Extension:
         return all(s == -1 for s in self.d.signs())
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, Extension)
             and other.base is self.base
             and other.d == self.d
@@ -75,8 +78,14 @@ class Extension:
         return f"Extension({self.base.tag}, D={self.d})"
 
 
+# make_extension's results by (base tag, n0, n1, den of d); emptied when full
+_EXTENSIONS: dict = {}
+_EXTENSIONS_CAP = 256
+
+
 def make_extension(base: Field, d) -> Extension:
-    """Build the extension descriptor for a fundamental d.
+    """The extension descriptor for a fundamental d, one instance per
+    (base, d) while it stays in a bounded table.
 
     w is sqrt_mod4(d): the smallest residue mod 2 (by |norm|, then
     lexicographically on coordinates) with w^2 = d (mod 4); this makes the
@@ -84,12 +93,21 @@ def make_extension(base: Field, d) -> Extension:
     """
     if not isinstance(d, BaseElement):
         d = base(d)
+    if d.field is not base:
+        raise ValueError("d from a different base field")
+    key = (base.tag, d.n0, d.n1, d.den)
+    ext = _EXTENSIONS.get(key)
+    if ext is not None:
+        return ext
     if not is_fundamental(d):
         raise NotFundamental(f"{d} is not fundamental over {base.tag}")
     w = sqrt_mod4(d)
     if w is None:
         raise DomainError("fundamental d is a residue mod 4 by definition")
-    return Extension(base, d, w, (w * w - d) / 4)
+    if len(_EXTENSIONS) >= _EXTENSIONS_CAP:
+        _EXTENSIONS.clear()
+    ext = _EXTENSIONS[key] = Extension(base, d, w, (w * w - d) / 4)
+    return ext
 
 
 class ExtElement:

@@ -10,9 +10,10 @@ enumeration and cycle count over Q (which serve as oracles for the
 correspondence and give the class numbers of the structure reports).
 """
 
+from functools import reduce
 from math import gcd, isqrt
 
-from .base_field import BaseElement, Field, gcd_k
+from .base_field import BaseElement, Field, _gcd_core
 from .base_field import Q as _Q
 from .errors import (
     DiscriminantMismatch,
@@ -56,8 +57,10 @@ class QuadraticForm:
         return self.a * x * x + self.b * x * y + self.c * y * y
 
     def is_primitive(self) -> bool:
-        g = gcd_k(gcd_k(self.a, self.b), self.c)
-        return g.is_unit()
+        """Whether the nonzero coefficients have a unit gcd; the zero form
+        is not primitive."""
+        nonzero = [v for v in (self.a, self.b, self.c) if not v.is_zero()]
+        return bool(nonzero) and reduce(_gcd_core, nonzero).is_unit()
 
     def scale(self, u) -> "QuadraticForm":
         """(u a, u b, u c); keeps integrality when u is a unit."""
@@ -218,7 +221,7 @@ def root_transport_check(
 def _as_int_form(q: QuadraticForm):
     if not q.field.is_rational:
         raise WrongBase("reduction and enumeration are implemented over Q only")
-    return int(q.a.c0), int(q.b.c0), int(q.c.c0)
+    return q.a.n0, q.b.n0, q.c.n0  # integral, so den = 1
 
 
 def _is_reduced(form, d, s):

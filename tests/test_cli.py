@@ -167,6 +167,18 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["error"] == "square_input"
 
+    def test_zero_leading_coefficients(self, capsys):
+        # (0, 0, 1) is primitive with discriminant 0, as compose reports
+        for cmd in ("psi", "inverse"):
+            code, report = run_json(capsys, cmd, "--base", "q", "--form=0,0,1")
+            assert code == 2 and report["error"] == "square_input", cmd
+        code, report = run_json(
+            capsys, "compose", "--base", "q", "--f1=0,0,1", "--f2=0,0,1"
+        )
+        assert code == 2 and report["error"] == "square_input"
+        code, report = run_json(capsys, "psi", "--base", "q", "--form=0,0,0")
+        assert code == 2 and report["error"] == "not_primitive"
+
     def test_classtable_non_integral(self, capsys):
         # -47/2 must not be answered with the classes of -23
         code, out = run_cli(capsys, "classtable", "--base", "q", "--d=-47/2")
@@ -232,6 +244,16 @@ class TestErrorContract:
         self.assert_parse_error(*run_cli(
             capsys, "identity", "--base", "q", "--d", "-4", "--bound", "5"
         ))
+
+    def test_no_option_abbreviations(self, capsys):
+        # a prefix of an option is not that option: --form is not --format
+        for argv in (
+            ("identity", "--base", "q", "--d", "-4", "--form", "json"),
+            ("identity", "--b", "q", "--d", "-4"),
+        ):
+            code, out = run_cli(capsys, *argv)
+            assert code == 1, argv
+            assert json.loads(out)["error"] == "parse_error", argv
 
     def test_zero_denominator(self, capsys):
         for argv in (

@@ -9,7 +9,9 @@ from conftest import random_int_element
 from qfc import (
     NotFundamental,
     Q,
+    extension,
     field,
+    is_fundamental,
     make_extension,
 )
 
@@ -34,6 +36,37 @@ class TestMakeExtension:
             make_extension(Q, -12)
         with pytest.raises(NotFundamental):
             make_extension(QI, QI(8))
+
+    def test_immutable(self):
+        e = make_extension(Q, -23)
+        for name, value in (("d", Q(5)), ("w", Q(0)), ("base", QI), ("other", 1)):
+            with pytest.raises(AttributeError):
+                setattr(e, name, value)
+        assert e.d == Q(-23) and e.w == Q(1)
+
+    def test_one_instance_per_field_and_d(self):
+        for base, d in [(Q, -23), (Q, 40), (QI, QI(0, 4)), (QS5, QS5(-4))]:
+            assert make_extension(base, d) is make_extension(base, d)
+        assert make_extension(Q, -23) is make_extension(Q, Q(-23))
+        assert make_extension(Q, -23) is not make_extension(Q, -4)
+
+    def test_non_fundamental_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(NotFundamental):
+                make_extension(Q, -12)
+        assert not any(key[:2] == ("q", -12) for key in extension._EXTENSIONS)
+
+    def test_table_is_bounded(self):
+        ds = [d for d in range(-2000, 0) if d % 4 in (0, 1) and is_fundamental(Q(d))]
+        assert len(ds) > 2 * extension._EXTENSIONS_CAP
+        for d in ds:
+            e = make_extension(Q, d)
+            assert e.d == Q(d)
+            assert 0 < len(extension._EXTENSIONS) <= extension._EXTENSIONS_CAP
+
+    def test_d_from_another_base(self):
+        with pytest.raises(ValueError):
+            make_extension(Q, QI(-23))
 
     def test_omega_identities(self):
         for base, d in [(Q, Q(-23)), (Q, Q(40)), (QI, QI(0, 4)), (QS5, QS5(-4))]:

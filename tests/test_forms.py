@@ -53,6 +53,16 @@ class TestPrimitivity:
         w = QS2.omega
         assert not QuadraticForm(QS2, w, 2, w).is_primitive()
 
+    def test_zero_coefficients(self):
+        # the gcd of the nonzero coefficients decides; gcd(0, 0, 1) = 1
+        for f in (Q, QI, QS5):
+            assert QuadraticForm(f, 0, 0, 1).is_primitive()
+            assert QuadraticForm(f, 1, 0, 0).is_primitive()
+            assert QuadraticForm(f, 0, 1, 0).is_primitive()
+            assert not QuadraticForm(f, 0, 0, 2).is_primitive()
+            assert not QuadraticForm(f, 0, 0, 0).is_primitive()
+        assert QuadraticForm(QS5, 0, 0, QS5.omega).is_primitive()  # a unit
+
     def test_preserved_by_equivalence(self, rng):
         for tag in ("q", "q_i", "q_sqrt2", "q_sqrt5"):
             f = field(tag)

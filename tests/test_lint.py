@@ -71,3 +71,32 @@ def test_no_unused_imports():
             if bound not in used
         ]
     assert found == []
+
+
+# math functions that return floats; isqrt and the integer helpers stay allowed
+FLOAT_MATH = {"sqrt", "cbrt", "exp", "exp2", "expm1", "log", "log1p", "log2", "log10", "pow"}
+
+
+def test_no_floating_point():
+    # arithmetic is exact: no float or complex literal, no float(...) call,
+    # and no float-valued math function, imported or called as math.f
+    found = []
+    for name, node in _nodes():
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"{name}:{node.lineno}:{node.value!r}")
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append(f"{name}:{node.lineno}:float")
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "math"
+            and node.attr in FLOAT_MATH
+        ):
+            found.append(f"{name}:{node.lineno}:math.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [
+                f"{name}:{node.lineno}:math.{alias.name}"
+                for alias in node.names
+                if alias.name in FLOAT_MATH
+            ]
+    assert found == []

@@ -1,11 +1,12 @@
 """Property tests drawn by hypothesis: equivalence over Q (random
-discriminants, matrices and scalings), and square roots and canonical
-discriminants in K on every base."""
+discriminants, matrices and scalings), square roots and canonical
+discriminants in K on every base, and the integer-coordinate kernel of K
+against Fraction pairs, with the JSON round trip of its elements."""
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, isqrt
+from math import floor, gcd, isqrt, lcm
 
 import pytest
 
@@ -28,6 +29,7 @@ from qfc import (  # noqa: E402
     oriented_equivalent,
     proper_equivalence,
     psi,
+    serialize,
     tp_unit_sqrt,
 )
 
@@ -176,3 +178,131 @@ def test_canonical_disc_is_an_orbit_invariant(f, c0, c1, k):
     d_star = canonical_disc(f, d)
     assert canonical_disc(f, u * u * d) == d_star
     assert tp_unit_sqrt(f, d / d_star) is not None
+
+
+# -- the integer-coordinate kernel against Fraction pairs, on all five bases --
+
+# (trace, norm, m) of w, with w^2 = trace*w - norm and K = Q(sqrt m)
+W_DATA = {
+    "q": (0, 0, None),
+    "q_i": (0, 1, -1),
+    "q_sqrt2": (0, -2, 2),
+    "q_sqrt5": (1, -1, 5),
+    "q_sqrt13": (1, -3, 13),
+}
+
+
+def _pair(f, c0, c1):
+    return (Fraction(c0), Fraction(0 if f.is_rational else c1))
+
+
+def _ref_mul(f, u, v):
+    tr, nm, _ = W_DATA[f.tag]
+    cross = u[1] * v[1]
+    return (u[0] * v[0] - cross * nm, u[0] * v[1] + u[1] * v[0] + cross * tr)
+
+
+def _ref_conj(f, u):
+    tr = W_DATA[f.tag][0]
+    return (u[0] + tr * u[1], -u[1])
+
+
+def _ref_norm(f, u):
+    if f.is_rational:
+        return u[0]
+    return _ref_mul(f, u, _ref_conj(f, u))[0]
+
+
+def _ref_div(f, u, v):
+    n = _ref_norm(f, v)
+    p = _ref_mul(f, u, _ref_conj(f, v)) if not f.is_rational else u
+    return (p[0] / n, p[1] / n)
+
+
+def _ref_sign(f, u, i):
+    tr, _, m = W_DATA[f.tag]
+    if m is None:
+        return (u[0] > 0) - (u[0] < 0)
+    # u = a + b*sqrt(m); compare a^2 with b^2 m when the signs differ
+    a, b = u[0] + u[1] * tr / 2, (u[1] / 2 if tr else u[1]) * (-1 if i else 1)
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa == sb or sb == 0:
+        return sa
+    if sa == 0:
+        return sb
+    return sa if a * a > b * b * m else sb
+
+
+def _coords(x):
+    return (x.c0, x.c1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(BASES), rationals, rationals, rationals, rationals)
+def test_kernel_matches_fraction_pairs(f, a0, a1, b0, b1):
+    x, y = _element(f, a0, a1), _element(f, b0, b1)
+    u, v = _pair(f, a0, a1), _pair(f, b0, b1)
+    assert _coords(x + y) == (u[0] + v[0], u[1] + v[1])
+    assert _coords(x - y) == (u[0] - v[0], u[1] - v[1])
+    assert _coords(-x) == (-u[0], -u[1])
+    assert _coords(x * y) == _ref_mul(f, u, v)
+    assert _coords(x.conj()) == (u if f.is_rational else _ref_conj(f, u))
+    assert x.norm() == _ref_norm(f, u) and isinstance(x.norm(), Fraction)
+    if not f.is_rational:
+        assert x.trace() == 2 * u[0] + W_DATA[f.tag][0] * u[1]
+        assert isinstance(x.trace(), Fraction)
+    if not y.is_zero():
+        assert _coords(x / y) == _ref_div(f, u, v)
+    # mixed with int and Fraction operands
+    assert _coords(x + 3) == _coords(3 + x) == (u[0] + 3, u[1])
+    assert _coords(2 - x) == (2 - u[0], -u[1])
+    assert _coords(b0 * x) == _coords(x * b0) == (b0 * u[0], b0 * u[1])
+    assert _coords(x / 2) == (u[0] / 2, u[1] / 2)
+    # rounding, integrality, denominators and signs
+    half = Fraction(1, 2)
+    assert _coords(x.round_coords()) == (floor(u[0] + half), floor(u[1] + half))
+    assert x.is_integral() == (u[0].denominator == 1 and u[1].denominator == 1)
+    assert x.denominator() == lcm(u[0].denominator, u[1].denominator)
+    if not x.is_zero():
+        for i in range(f.r):
+            assert x.sign_at(i) == _ref_sign(f, u, i)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(BASES), rationals, rationals, rationals, rationals)
+def test_kernel_equality_and_hash(f, a0, a1, b0, b1):
+    x, y = _element(f, a0, a1), _element(f, b0, b1)
+    assert (x == y) == (_pair(f, a0, a1) == _pair(f, b0, b1))
+    # the same value built another way is the same element
+    z = (x * y + x) - x * y
+    assert z == x and hash(z) == hash(x)
+    if x.c1 == 0:
+        # a rational element equals, and hashes as, its int or Fraction
+        assert x == x.c0 and hash(x) == hash(x.c0)
+        if x.c0.denominator == 1:
+            assert x == int(x.c0) and hash(x) == hash(int(x.c0))
+    assert x != x.c0 + 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(BASES), rationals, rationals, rationals, rationals)
+def test_kernel_normal_form(f, a0, a1, b0, b1):
+    x, y = _element(f, a0, a1), _element(f, b0, b1)
+    results = [x, y, x + y, x - y, x * y, -x, x.conj(), x.round_coords()]
+    if not y.is_zero():
+        results.append(x / y)
+    for z in results:
+        assert z.den > 0 and gcd(z.n0, z.n1, z.den) == 1
+        assert isinstance(z.c0, Fraction) and isinstance(z.c1, Fraction)
+        assert (z.c0, z.c1) == (Fraction(z.n0, z.den), Fraction(z.n1, z.den))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(BASES), rationals, rationals)
+def test_kelement_json_round_trip(f, c0, c1):
+    x = _element(f, c0, c1)
+    first = serialize.canonical_dumps(serialize.kelement_to_json(x))
+    again = serialize.kelement_to_json(
+        serialize.kelement_from_json(f, serialize.kelement_to_json(x))
+    )
+    assert serialize.canonical_dumps(again) == first
