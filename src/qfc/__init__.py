@@ -76,7 +76,6 @@ from .ideals import (
     principal_generator_q,
     principal_oriented,
     reduce_generators,
-    rel_norm_ideal,
 )
 
 __version__ = "0.1.0"

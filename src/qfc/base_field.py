@@ -200,7 +200,12 @@ class BaseElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + -o
+        return _elem(
+            self.field,
+            self.n0 * o.den - o.n0 * self.den,
+            self.n1 * o.den - o.n1 * self.den,
+            self.den * o.den,
+        )
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -302,6 +307,9 @@ class BaseElement:
         return Fraction(self._norm_num(), self.den * self.den)
 
     def trace(self) -> Fraction:
+        """Trace down to Q."""
+        if self.field.is_rational:
+            return self.c0
         return Fraction(2 * self.n0 + self.field.omega_trace * self.n1, self.den)
 
     def is_zero(self) -> bool:

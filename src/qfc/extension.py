@@ -161,6 +161,9 @@ class ExtElement:
         return ExtElement(self.ext, -self.x, -self.y)
 
     def __mul__(self, other):
+        if isinstance(other, BaseElement) and other.field is self.ext.base:
+            # an element of K scales both coordinates
+            return ExtElement(self.ext, self.x * other, self.y * other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -275,7 +275,13 @@ def proper_equivalence(f: QuadraticForm, g: QuadraticForm):
     when the forms over Q are not properly equivalent: their reduced forms
     differ (d < 0), or that of g is not on the rho-cycle of that of f
     (d > 0), so the work is bounded by one cycle."""
-    fi, gi = _as_int_form(f), _as_int_form(g)
+    mat = _proper_matrix(_as_int_form(f), _as_int_form(g))
+    return None if mat is None else Transformation(f.field, *mat)
+
+
+def _proper_matrix(fi, gi):
+    """proper_equivalence on integer coefficient triples: the matrix
+    (p, q, r, s) of determinant 1 with fi o T = gi, checked, or None."""
     d = fi[1] * fi[1] - 4 * fi[0] * fi[2]
     if gi[1] * gi[1] - 4 * gi[0] * gi[2] != d:
         raise DiscriminantMismatch("forms of different discriminants")
@@ -292,12 +298,16 @@ def proper_equivalence(f: QuadraticForm, g: QuadraticForm):
     # f o m = g o n, so T = m n^-1
     p, q, r, u = m
     p2, q2, r2, u2 = n
-    t = Transformation(
-        f.field, p * u2 - q * r2, q * p2 - p * q2, r * u2 - u * r2, u * p2 - r * q2
+    tp, tq, tr, ts = p * u2 - q * r2, q * p2 - p * q2, r * u2 - u * r2, u * p2 - r * q2
+    a, b, c = fi
+    image = (
+        a * tp * tp + b * tp * tr + c * tr * tr,
+        2 * a * tp * tq + b * (tp * ts + tq * tr) + 2 * c * tr * ts,
+        a * tq * tq + b * tq * ts + c * ts * ts,
     )
-    if not verify_equivalence_witness(f, g, t):
+    if image != gi:
         raise DomainError("proper equivalence witness failed verification")
-    return t
+    return tp, tq, tr, ts
 
 
 def _int_over_q(d, wrong_base: str, not_integral: str = "d must be an integer") -> int:
@@ -348,7 +358,8 @@ def count_cycles_q(d) -> int:
     reduced = set()
     for b in range(2 - d % 2, s + 1, 2):
         n = (d - b * b) // 4  # = -a c
-        for a in range(1, s + 1):
+        # a reduced form has s - b < 2a <= s + b
+        for a in range((s - b) // 2 + 1, (s + b) // 2 + 1):
             if n % a == 0:
                 c = n // a
                 if _is_reduced((a, b, -c), d, s) and gcd(gcd(a, b), c) == 1:

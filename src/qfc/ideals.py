@@ -13,7 +13,7 @@ from collections import namedtuple
 from itertools import product
 from math import lcm
 
-from .base_field import BaseElement, canonical_associate, gcd_k
+from .base_field import BaseElement, _unit_slide, canonical_associate, gcd_k
 from .errors import (
     DegenerateBasis,
     DomainError,
@@ -22,7 +22,8 @@ from .errors import (
     RankDeficient,
 )
 from .extension import ExtElement, Extension
-from .forms import QuadraticForm, proper_equivalence
+from .forms import QuadraticForm, _as_int_form, _proper_matrix
+from .lattice import lll_gram, short_vectors
 
 
 class IdealBasis:
@@ -32,16 +33,19 @@ class IdealBasis:
     independent, and the module is stable under multiplication by W.
     """
 
-    __slots__ = ("ext", "alpha", "beta")
+    __slots__ = ("ext", "alpha", "beta", "_det")
 
     def __init__(self, alpha: ExtElement, beta: ExtElement, _checked=False):
         if alpha.ext != beta.ext:
             raise ExtensionMismatch("basis elements of different extensions")
+        # det M in sqrt(D) coordinates: 2*(x_a y_b - y_a x_b)
+        cross = alpha.x * beta.y - alpha.y * beta.x
+        if cross.is_zero():
+            raise DegenerateBasis("alpha, beta are K-linearly dependent")
         object.__setattr__(self, "ext", alpha.ext)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-        if self.det_m().is_zero():
-            raise DegenerateBasis("alpha, beta are K-linearly dependent")
+        object.__setattr__(self, "_det", cross + cross)
         if not _checked:
             omega = self.ext.omega
             for gen in (alpha * omega, beta * omega):
@@ -52,17 +56,12 @@ class IdealBasis:
         raise AttributeError("IdealBasis is immutable")
 
     def det_m(self) -> BaseElement:
-        """(conj(a) b - a conj(b)) / (W - conj W); in sqrt(D) coordinates
-        this is 2*(x_a y_b - y_a x_b)."""
-        a, b = self.alpha, self.beta
-        d = a.x * b.y - a.y * b.x
-        return d + d
+        """(conj(a) b - a conj(b)) / (W - conj W), a generator of the
+        relative norm ideal N_{L/K}(I); computed once, at construction."""
+        return self._det
 
     def orientation(self) -> tuple:
-        det = self.det_m()
-        if det.is_zero():
-            raise DegenerateBasis("zero determinant")
-        return det.signs()
+        return self._det.signs()
 
     def norm_form(self):
         """Coefficients (a, b, c) of N(alpha x - beta y) / det M, the
@@ -72,28 +71,24 @@ class IdealBasis:
         mid = alpha.x * beta.x - alpha.y * beta.y * self.ext.d
         return alpha.norm() / det, -(mid + mid) / det, beta.norm() / det
 
-    def norm_generator(self) -> BaseElement:
-        """Generator of the relative norm ideal N_{L/K}(I); equals det M."""
-        return self.det_m()
-
     def solve(self, elem: ExtElement):
         """K-coefficients (s, t) with elem = s*alpha + t*beta."""
         a, b = self.alpha, self.beta
-        den = a.x * b.y - a.y * b.x
-        s = (elem.x * b.y - b.x * elem.y) / den
-        t = (a.x * elem.y - elem.x * a.y) / den
-        return s, t
+        s = elem.x * b.y - b.x * elem.y
+        t = a.x * elem.y - elem.x * a.y
+        return (s + s) / self._det, (t + t) / self._det
 
     def contains(self, elem: ExtElement) -> bool:
         s, t = self.solve(elem)
         return s.is_integral() and t.is_integral()
 
     def same_module(self, other: "IdealBasis") -> bool:
+        # other lies in self through a matrix over O_K whose determinant is
+        # det M(other) / det M(self); the inclusion is onto when it is a unit
         return (
             self.contains(other.alpha)
             and self.contains(other.beta)
-            and other.contains(self.alpha)
-            and other.contains(self.beta)
+            and (other.det_m() / self.det_m()).is_unit()
         )
 
     def scale(self, factor) -> "IdealBasis":
@@ -118,11 +113,6 @@ class IdealBasis:
 
     def __repr__(self):
         return f"[{self.alpha!r}, {self.beta!r}]"
-
-
-def rel_norm_ideal(basis: IdealBasis) -> BaseElement:
-    """Generator of the relative norm of the ideal (Lemma: det M)."""
-    return basis.norm_generator()
 
 
 def reduce_generators(gens, ext: Extension) -> IdealBasis:
@@ -310,19 +300,73 @@ def _coordinate_box(base, bound: int):
                 yield base(head[0], head[1]), base(head[2], last)
 
 
+def _trace_gram(module: IdealBasis):
+    """(G, den): den * Tr_{K/Q}(N_{L/K}(gamma)) = v^T G v, with G an
+    integer matrix, for gamma = v0*alpha + v1*w*alpha + v2*beta + v3*w*beta
+    in the module [alpha, beta] over a quadratic K = Q(w).
+
+    Polarising N(sum v_i e_i) = sum v_i v_j e_i conj(e_j) gives the trace
+    of the rational part of e_i conj(e_j).  Positive definite when D is
+    totally negative.
+    """
+    ext = module.ext
+    w = ext.base.omega
+    basis = (module.alpha, module.alpha * w, module.beta, module.beta * w)
+    gram = [[(u.x * v.x - u.y * v.y * ext.d).trace() for v in basis] for u in basis]
+    den = lcm(*(g.denominator for row in gram for g in row))
+    return [[g.numerator * (den // g.denominator) for g in row] for row in gram], den
+
+
+def _cm_generator(module: IdealBasis):
+    """A generator of `module`, or None when it is not principal; for K
+    real quadratic and D totally negative.
+
+    L is then a CM field, so Tr_{K/Q}(N_{L/K}(gamma)) is a positive
+    definite quadratic form (`_trace_gram`).  A generator has norm n*u for
+    n = det M and a unit u, and n*u is totally positive.  With n* = n times
+    the unit of the signs of n, the totally positive associates of n are
+    n* eps^(2k), so sliding by eps^2 gives the least trace C among them, and
+    some unit of K scales a generator to trace exactly C.  No element of
+    trace below C generates the module, so enumerating up to C after LLL
+    is complete; of the vectors at C, those whose norm is n times a unit
+    are the generators.
+    """
+    f = module.ext.base
+    n0 = module.det_m()
+    eps2 = f.fundamental_unit * f.fundamental_unit
+    n_star = _unit_slide(n0 * f.unit_with_signs(n0.signs()), eps2, f.one / eps2)[0]
+    gram, den = _trace_gram(module)
+    reduced, h = lll_gram(gram)
+    bound = n_star.trace() * den
+    for x, value in short_vectors(reduced, bound):
+        if value != bound:
+            continue
+        v = [sum(hij * xj for hij, xj in zip(row, x)) for row in h]
+        gamma = module.alpha * f(v[0], v[1]) + module.beta * f(v[2], v[3])
+        if (gamma.norm() / n0).is_unit():
+            return gamma
+    return None
+
+
 def oriented_equivalent(
     a: OrientedIdeal, b: OrientedIdeal, search_bound: int = 8
 ) -> EquivalenceResult:
     """Three-valued equivalence test for oriented ideals.
 
     Equivalence means gamma*I = J with the sign vector of N(gamma) equal to
-    the componentwise product of the two orientations.  Over base Q the
-    answer is always definite and the bound is ignored: the Phi-images of
-    the aligned ideals are reduced and compared (one reduced form for
-    d < 0, one cycle of reduced forms for d > 0).  Over quadratic base
-    fields the witness search runs over coordinate boxes up to
-    `search_bound` and may return unknown.
-    The box grows like (2k+1)^4, so large bounds get expensive fast.
+    the componentwise product of the two orientations.  Two cases are
+    decided completely, and `search_bound` is ignored in them:
+    - over base Q, the Phi-images of the aligned ideals are reduced and
+      compared (one reduced form for d < 0, one cycle of reduced forms for
+      d > 0);
+    - over a real quadratic base with D totally negative, a generator of
+      J * I^{-1} is sought by LLL and Fincke-Pohst enumeration of
+      Tr_{K/Q} N_{L/K} up to the least trace of a totally positive
+      associate of its norm.
+    Over Q(i), and over a real quadratic base with D of mixed signs, the
+    witness search runs over coordinate boxes up to `search_bound` and may
+    return unknown.  The box grows like (2k+1)^4, so large bounds get
+    expensive fast.  Every witness is verified before it is returned.
     """
     if a.ext != b.ext:
         raise ExtensionMismatch("oriented ideals over different extensions")
@@ -345,25 +389,32 @@ def oriented_equivalent(
     if base.is_rational:
         # f o T = g makes [p alpha_a - r beta_a, ...] a basis of a with form g
         a_al, b_al = a.align().basis, b.align().basis
-        t = proper_equivalence(
-            QuadraticForm(base, *a_al.norm_form()),
-            QuadraticForm(base, *b_al.norm_form()),
+        mat = _proper_matrix(
+            _as_int_form(QuadraticForm(base, *a_al.norm_form())),
+            _as_int_form(QuadraticForm(base, *b_al.norm_form())),
         )
-        if t is None:
-            return EquivalenceResult(NOT_EQUIVALENT, None)
-        gamma = b_al.alpha / (t.p * a_al.alpha - t.r * a_al.beta)
-        if not witness_ok(gamma):
-            raise DomainError("equivalence witness failed verification")
-        return EquivalenceResult(EQUIVALENT, gamma)
+        if mat is None:
+            gamma = None
+        else:
+            p, r = base(mat[0]), base(mat[2])
+            gamma = b_al.alpha / (a_al.alpha * p - a_al.beta * r)
+    elif base.r == 2 and ext.totally_negative_d():
+        gamma = _cm_generator(_quotient_module(a, b))
+    else:
+        quotient = _quotient_module(a, b)
+        n0 = quotient.det_m()
+        for s, t in _coordinate_box(base, search_bound):
+            gamma = ext.from_base(s) * quotient.alpha + ext.from_base(t) * quotient.beta
+            if gamma.is_zero():
+                continue
+            if not (gamma.norm() / n0).is_unit():
+                continue
+            if witness_ok(gamma):
+                return EquivalenceResult(EQUIVALENT, gamma)
+        return EquivalenceResult(UNKNOWN, None)
 
-    quotient = _quotient_module(a, b)
-    n0 = quotient.det_m()
-    for s, t in _coordinate_box(base, search_bound):
-        gamma = ext.from_base(s) * quotient.alpha + ext.from_base(t) * quotient.beta
-        if gamma.is_zero():
-            continue
-        if not (gamma.norm() / n0).is_unit():
-            continue
-        if witness_ok(gamma):
-            return EquivalenceResult(EQUIVALENT, gamma)
-    return EquivalenceResult(UNKNOWN, None)
+    if gamma is None:
+        return EquivalenceResult(NOT_EQUIVALENT, None)
+    if not witness_ok(gamma):
+        raise DomainError("equivalence witness failed verification")
+    return EquivalenceResult(EQUIVALENT, gamma)

@@ -36,7 +36,6 @@ from qfc import (
     phi,
     psi,
     reduce_form_q,
-    rel_norm_ideal,
     roundtrip_gamma,
     tp_unit_sqrt,
     tpd_sign_check,
@@ -210,7 +209,7 @@ def test_criterion_5_lemma_suite():
         for _ in range(15):
             g = random_gamma(ext, rng)
             basis = IdealBasis(g, g * ext.omega, _checked=True)
-            assert rel_norm_ideal(basis) == g.norm()
+            assert basis.det_m() == g.norm()
 
     # automorph system for registry units and quadratic-L fundamental units
     e4 = make_extension(Q, -4)

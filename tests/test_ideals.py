@@ -23,7 +23,6 @@ from qfc import (
     Q,
     QuadraticForm,
     RankDeficient,
-    Transformation,
     ZeroArgument,
     field,
     ideal_mul,
@@ -33,9 +32,9 @@ from qfc import (
     principal_oriented,
     psi,
     reduce_generators,
-    rel_norm_ideal,
 )
 from qfc.ideals import _coordinate_box
+from qfc.lattice import short_vectors
 
 QI = field("q_i")
 QS5 = field("q_sqrt5")
@@ -64,7 +63,6 @@ class TestDetM:
                 g = random_gamma(ext, rng)
                 b = IdealBasis(g, g * ext.omega, _checked=True)
                 assert b.det_m() == g.norm()
-                assert rel_norm_ideal(b) == g.norm()
 
     def test_definition_agrees(self, rng):
         # the coordinate shortcut equals (conj(a) b - a conj(b)) / (W - conj W)
@@ -76,6 +74,17 @@ class TestDetM:
                 expected = (a.conj() * b - a * b.conj()) / denom
                 got = a.x * b.y - a.y * b.x
                 assert expected.y.is_zero() and expected.x == got + got
+
+    def test_same_module_rejects_a_submodule(self):
+        # k*[1, W] lies inside [1, W] with det M multiplied by k^2:
+        # containment alone is not equality
+        for ext, k in ((E5N4, 2), (E23, 3)):
+            big = unit_ideal(ext)
+            small = big.scale(k)
+            assert big.contains(small.alpha) and big.contains(small.beta)
+            assert not big.same_module(small)
+            assert not small.same_module(big)
+            assert big.same_module(big.scale(-1))
 
     def test_degenerate(self):
         with pytest.raises(DegenerateBasis):
@@ -355,14 +364,70 @@ class TestOrientedEquivalent:
         with pytest.raises(ExtensionMismatch):
             oriented_equivalent(a, b)
 
-    def test_unknown_when_bound_exhausted(self, rng):
-        # quartic L: the box search is bounded and three-valued
+    def test_unknown_when_bound_exhausted(self):
+        # over Q(i) the box search is bounded and three-valued: no associate
+        # of 1 + t*W with |N(t)| >= 40 has coordinates inside the box
+        ext = make_extension(QI, QI(7))
+        a = principal_oriented(ext.one)
+        b = a.scale(ext.from_module_coords(QI.one, QI(5, 4)))
+        for bound in (0, 2):
+            assert oriented_equivalent(a, b, bound).status == "unknown"
+
+    def test_far_witness_cm(self, rng, monkeypatch):
+        # real quadratic K, D totally negative: LLL makes a far witness a
+        # short vector, so the enumeration tries few vectors at any bound
+        import qfc.ideals
+
+        tried = []
+
+        def counting(gram, bound):
+            for item in short_vectors(gram, bound):
+                tried.append(item)
+                yield item
+
+        monkeypatch.setattr(qfc.ideals, "short_vectors", counting)
         seed = forms_with_disc(QS5, E5N4.d, 3)
         a = random_oriented_ideal(E5N4, rng, seed)
-        g = E5N4.element(QS5(9, 7), QS5(5, 8))  # witness far outside a tiny box
-        b = a.scale(g)
-        res = oriented_equivalent(a, b, 0)
-        assert res.status == "unknown"
+        for g in [
+            E5N4.element(QS5(9, 7), QS5(5, 8)),
+            E5N4.element(QS5(1234, -777), QS5(555, 901)),
+            E5N4.element(
+                QS5(31415926535897, -27182818284590),
+                QS5(16180339887498, 14142135623730),
+            ),
+        ]:
+            b = a.scale(g)
+            tried.clear()
+            res = oriented_equivalent(a, b, 0)
+            assert res.status == EQUIVALENT
+            assert a.basis.scale(res.gamma).same_module(b.basis)
+            assert 1 <= len(tried) <= 5
+
+    def test_cm_skips_non_generators_of_least_trace(self):
+        # over Q(sqrt 2), D = -2 the first enumerated vector of trace C has a
+        # norm that is not det M times a unit; the search goes on to a
+        # generator
+        f = field("q_sqrt2")
+        ext = make_extension(f, f(-2))
+        a = psi(QuadraticForm(f, f(-2, 1), f(2, -1), f(-1)), ext)
+        b = psi(QuadraticForm(f, f(-1, -1), f(-2, 1), f(4, -3)), ext)
+        b = OrientedIdeal(b.basis, a.eps)
+        res = oriented_equivalent(a, b)
+        assert res.status == EQUIVALENT
+        assert a.basis.scale(res.gamma).same_module(b.basis)
+
+    def test_distinct_classes_cm(self):
+        # over Q(sqrt 13), D = -3 two forms of one orientation lie in
+        # distinct classes (h(L) is even: h(-39) = 4 in the biquadratic
+        # class number formula); the box answers unknown, the enumeration
+        # not_equivalent
+        f = field("q_sqrt13")
+        ext = make_extension(f, f(-3))
+        a = psi(QuadraticForm(f, f(1), f(-1), f(1)), ext)
+        b = psi(QuadraticForm(f, f(14, 3), f(-27, -12), f(15, 9)), ext)
+        assert a.eps == b.eps
+        assert oriented_equivalent(a, b).status == NOT_EQUIVALENT
+        assert oriented_equivalent(a, a).status == EQUIVALENT
 
     def test_large_regulator(self):
         # fundamental units of 24, 34, 40 and 71 digits: the answer comes
@@ -390,9 +455,9 @@ class TestOrientedEquivalent:
         from qfc import DomainError
 
         def wrong(f, g):
-            return Transformation(Q, 1, 1, 0, 1)
+            return 1, 1, 0, 1
 
-        monkeypatch.setattr(qfc.ideals, "proper_equivalence", wrong)
+        monkeypatch.setattr(qfc.ideals, "_proper_matrix", wrong)
         a = OrientedIdeal(unit_ideal(E23), (1,))
         with pytest.raises(DomainError):
             oriented_equivalent(a, psi(QuadraticForm(Q, 2, 1, 3)))

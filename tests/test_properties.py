@@ -1,8 +1,11 @@
 """Property tests drawn by hypothesis: equivalence over Q (random
-discriminants, matrices and scalings), square roots and canonical
-discriminants in K on every base, and the integer-coordinate kernel of K
-against Fraction pairs, with the JSON round trip of its elements."""
+discriminants, matrices and scalings), equivalence over real quadratic
+bases with D totally negative against the coordinate box, square roots and
+canonical discriminants in K on every base, and the integer-coordinate
+kernel of K against Fraction pairs, with the JSON round trip of its
+elements."""
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -14,9 +17,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from conftest import forms_with_disc, random_gamma, transformed_ideal  # noqa: E402
+
 from qfc import (  # noqa: E402
     EQUIVALENT,
+    NOT_EQUIVALENT,
     REGISTRY,
+    UNKNOWN,
     OrientedIdeal,
     Q,
     QuadraticForm,
@@ -32,6 +39,7 @@ from qfc import (  # noqa: E402
     serialize,
     tp_unit_sqrt,
 )
+from qfc.ideals import _coordinate_box, _quotient_module  # noqa: E402
 
 FUNDAMENTAL = [
     d for d in range(-2000, 2000)
@@ -111,6 +119,66 @@ def test_scaled_ideal_is_equivalent(d, pick, steps, x, y, den, flip):
     assert res.status == EQUIVALENT
     assert a.basis.scale(res.gamma).same_module(b.basis)
     assert res.gamma.norm().signs() == (a.eps[0] * b.eps[0],)
+
+
+# -- equivalence over a real quadratic base with D totally negative -----------
+
+# the totally negative D over real quadratic bases that the other tests use
+CM_EXTS = [
+    make_extension(REGISTRY[tag], REGISTRY[tag](d))
+    for tag, d in (("q_sqrt2", -2), ("q_sqrt5", -4), ("q_sqrt5", -8), ("q_sqrt13", -3))
+]
+
+
+@lru_cache(maxsize=None)
+def _cm_forms(ext):
+    return forms_with_disc(ext.base, ext.d, 3)
+
+
+def _box_status(a, b, bound=2):
+    """The coordinate-box search over J * I^-1 at `bound`: equivalent with
+    a verified witness, or unknown."""
+    ext = a.ext
+    quotient = _quotient_module(a, b)
+    n0 = quotient.det_m()
+    for s, t in _coordinate_box(ext.base, bound):
+        gamma = ext.from_base(s) * quotient.alpha + ext.from_base(t) * quotient.beta
+        if gamma.is_zero() or not (gamma.norm() / n0).is_unit():
+            continue
+        if a.basis.scale(gamma).same_module(b.basis):
+            return EQUIVALENT
+    return UNKNOWN
+
+
+def _assert_witness(a, b, gamma):
+    assert a.basis.scale(gamma).same_module(b.basis)
+    assert gamma.norm().signs() == tuple(x * y for x, y in zip(a.eps, b.eps))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(CM_EXTS),
+    st.integers(0, 999),
+    st.integers(0, 999),
+    st.integers(0, 2**32),
+)
+def test_cm_equivalence_agrees_with_the_box(ext, i, j, seed):
+    rng = random.Random(seed)
+    forms = _cm_forms(ext)
+    a = transformed_ideal(psi(forms[i % len(forms)], ext), rng)
+    b = transformed_ideal(psi(forms[j % len(forms)], ext), rng)
+    # one orientation: a flipped one is settled before any search
+    b = OrientedIdeal(b.basis, a.eps)
+    res = oriented_equivalent(a, b)
+    assert res.status in (EQUIVALENT, NOT_EQUIVALENT)
+    if _box_status(a, b) == EQUIVALENT:
+        assert res.status == EQUIVALENT
+    if res.status == EQUIVALENT:
+        _assert_witness(a, b, res.gamma)
+    c = a.scale(random_gamma(ext, rng))
+    res = oriented_equivalent(a, c)
+    assert res.status == EQUIVALENT
+    _assert_witness(a, c, res.gamma)
 
 
 # -- square roots in K, on all five bases -------------------------------------
@@ -248,9 +316,11 @@ def test_kernel_matches_fraction_pairs(f, a0, a1, b0, b1):
     assert _coords(x * y) == _ref_mul(f, u, v)
     assert _coords(x.conj()) == (u if f.is_rational else _ref_conj(f, u))
     assert x.norm() == _ref_norm(f, u) and isinstance(x.norm(), Fraction)
-    if not f.is_rational:
+    if f.is_rational:
+        assert x.trace() == u[0]
+    else:
         assert x.trace() == 2 * u[0] + W_DATA[f.tag][0] * u[1]
-        assert isinstance(x.trace(), Fraction)
+    assert isinstance(x.trace(), Fraction)
     if not y.is_zero():
         assert _coords(x / y) == _ref_div(f, u, v)
     # mixed with int and Fraction operands
