@@ -25,7 +25,7 @@ from .errors import (
     SquareInput,
 )
 from .extension import Extension, ExtElement, make_extension
-from .forms import QuadraticForm, _int_over_q, count_cycles_q, enumerate_classes_q
+from .forms import QuadraticForm, _int_over_q, _reduced_triples, count_cycles_q
 from .ideals import IdealBasis, OrientedIdeal, ideal_mul
 
 
@@ -175,7 +175,7 @@ def ocl_structure_q(d) -> OclReport:
 
     Case 1 (D < 0): OCl = Cl x {+-1}, order 2h.  Case 2 (D > 0, all unit
     norms +1): order 2h.  Case 3 (D > 0 with a norm -1 unit): order h.
-    h comes from reduced-form enumeration (D < 0) or from the number h+ of
+    h comes from the count of reduced forms (D < 0) or from the number h+ of
     cycles of reduced indefinite forms (D > 0), which is the order of OCl
     and equals h in case 3 and 2h in case 2.  The fundamental unit and its
     norm come from one walk of the principal rho-cycle.
@@ -190,7 +190,7 @@ def ocl_structure_q(d) -> OclReport:
     except NotFundamental:
         raise NotFundamental(f"{d_int} is not a fundamental discriminant") from None
     if d_int < 0:
-        h = len(enumerate_classes_q(d_int))
+        h = len(_reduced_triples(d_int))
         return OclReport(case=1, h=h, ocl_order=2 * h, unit=None, unit_norm=None)
     unit = fundamental_unit(ext)
     h_plus = count_cycles_q(d_int)

@@ -228,9 +228,9 @@ def _is_reduced(form, d, s):
     """d < 0: -|a| < b <= |a| <= |c|, and b >= 0 if a = c; one form per
     proper class of positive, and of negative, definite forms.  d > 0:
     0 < b < sqrt(d) and sqrt(d) - b < 2|a| < sqrt(d) + b, which with
-    s = isqrt(d) read b <= s and s - b < 2|a| <= s + b, exactly.  The one
-    reduced-form test: it stops _reduce and selects the members of
-    enumerate_classes_q and count_cycles_q."""
+    s = isqrt(d) read b <= s and s - b < 2|a| <= s + b, exactly.  It stops
+    _reduce and selects the members of count_cycles_q; the loop bounds of
+    _reduced_triples meet it by construction."""
     a, b, c = form
     if d < 0:
         return -abs(a) < b <= abs(a) <= abs(c) and (b >= 0 or a != c)
@@ -322,24 +322,39 @@ def _int_over_q(d, wrong_base: str, not_integral: str = "d must be an integer") 
     return int(d)
 
 
+def _reduced_triples(d: int) -> list[tuple[int, int, int]]:
+    """The coefficients (a, b, c) of enumerate_classes_q(d), as sorted
+    integer triples, for an int d < 0 with d = 0 or 1 mod 4; ocl_structure_q
+    counts them without building forms."""
+    out = []
+    for b in range(d % 2, isqrt(-d // 3) + 1, 2):
+        q = (b * b - d) // 4
+        for a in range(max(b, 1), isqrt(q) + 1):
+            if q % a == 0:
+                c = q // a
+                if gcd(a, b, c) == 1:
+                    out.append((a, b, c))
+                    if 0 < b < a < c:
+                        out.append((a, -b, c))
+    out.sort()
+    return out
+
+
 def enumerate_classes_q(d) -> list[QuadraticForm]:
     """All reduced primitive positive definite forms of discriminant d < 0
-    over Q, sorted lexicographically on (a, b, c)."""
+    over Q, sorted lexicographically on (a, b, c).
+
+    Enumerated by b first (Cohen, GTM 138, Alg. 5.3.5): b runs over
+    0 <= b <= sqrt(-d/3) with b = d mod 2, a over the divisors of
+    q = (b^2 - d)/4 with b <= a <= sqrt(q), and c = q/a.  Each primitive
+    (a, b, c) found is reduced, and so is (a, -b, c) when 0 < b < a < c.
+    """
     d = _int_over_q(d, "class enumeration is implemented over Q only")
     if d >= 0:
         raise IndefiniteForm("class enumeration needs d < 0")
     if d % 4 not in (0, 1):
         return []
-    out = []
-    a_max = isqrt(-d // 3)
-    for a in range(1, a_max + 1):
-        for b in range(-a + 1, a + 1):
-            num = b * b - d
-            if num % (4 * a) == 0:
-                c = num // (4 * a)
-                if _is_reduced((a, b, c), d, 0) and gcd(gcd(a, b), c) == 1:
-                    out.append(QuadraticForm(_Q, a, b, c))
-    return out
+    return [QuadraticForm(_Q, *t) for t in _reduced_triples(d)]
 
 
 def count_cycles_q(d) -> int:

@@ -1,6 +1,8 @@
 """Forms: discriminants, transformations, automorphs, reduction, enumeration."""
 
+import random
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 
@@ -22,12 +24,15 @@ from qfc import (
     enumerate_classes_q,
     field,
     fundamental_unit,
+    is_fundamental,
     make_extension,
+    ocl_structure_q,
     proper_equivalence,
     reduce_form_q,
     root_transport_check,
     verify_equivalence_witness,
 )
+from qfc.forms import _is_reduced
 
 QI = field("q_i")
 QS2 = field("q_sqrt2")
@@ -370,6 +375,70 @@ class TestEnumeration:
                      (-55, 4), (-56, 4), (-67, 1), (-71, 7), (-95, 8),
                      (-163, 1)]:
             assert len(enumerate_classes_q(d)) == h
+
+    def test_against_the_a_then_b_loop(self):
+        # the enumeration that b-stepping replaced: a up to sqrt(-d/3), then
+        # every b in (-a, a]
+        def a_then_b(d):
+            if d % 4 not in (0, 1):
+                return []
+            out = []
+            for a in range(1, isqrt(-d // 3) + 1):
+                for b in range(-a + 1, a + 1):
+                    num = b * b - d
+                    if num % (4 * a) == 0:
+                        c = num // (4 * a)
+                        if _is_reduced((a, b, c), d, 0) and gcd(gcd(a, b), c) == 1:
+                            out.append((a, b, c))
+            return out
+
+        for d in range(-2000, 0):
+            got = [(f.a.n0, f.b.n0, f.c.n0) for f in enumerate_classes_q(d)]
+            assert got == a_then_b(d), d
+
+    def test_dirichlet_class_number_formula(self):
+        # h(d) = -(1/|d|) * sum_{0 < n < |d|} (d/n) n for fundamental d < -4;
+        # (d/.) is completely multiplicative, so it is taken at primes only
+        rng = random.Random(15)
+        ds = set()
+        while len(ds) < 8:
+            d = rng.randrange(-30000, -4)
+            if is_fundamental(Q(d)):
+                ds.add(d)
+        top = -min(ds)
+        least = list(range(top))  # least prime factor, by a sieve
+        for p in range(2, isqrt(top) + 1):
+            if least[p] == p:
+                for m in range(p * p, top, p):
+                    least[m] = min(least[m], p)
+        for d in sorted(ds):
+            chi = [0, 1] + [0] * (-d - 2)
+            for n in range(2, -d):
+                p = least[n]
+                chi[n] = _kronecker(d, p) if p == n else chi[p] * chi[n // p]
+            total = sum(x * n for n, x in enumerate(chi))
+            assert total % d == 0
+            assert ocl_structure_q(d).h == total // d, d
+
+
+def _kronecker(a, n):
+    """The Kronecker symbol (a/n) for n > 0 (Cohen, GTM 138, Alg. 1.4.10)."""
+    two = (0, 1, 0, -1, 0, -1, 0, 1)  # (a/2) by a mod 8, for odd a
+    if a % 2 == 0 and n % 2 == 0:
+        return 0
+    k = 1
+    while n % 2 == 0:
+        n //= 2
+        k *= two[a & 7]
+    a %= n
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            k *= two[n & 7]
+        if a & n & 2:
+            k = -k  # reciprocity, a = n = 3 mod 4
+        a, n = n % a, a
+    return k if n == 1 else 0
 
 
 class TestCycles:

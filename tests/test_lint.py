@@ -100,3 +100,62 @@ def test_no_floating_point():
                 if alias.name in FLOAT_MATH
             ]
     assert found == []
+
+
+# the library's modules from the bottom up: each imports only modules listed
+# before it, and errors and lattice import nothing from the library
+LAYERS = [
+    "errors",
+    "base_field",
+    "extension",
+    "forms",
+    "contfrac",
+    "lattice",
+    "ideals",
+    "correspondence",
+    "serialize",
+    "cli",
+]
+LEAVES = {"errors", "lattice"}
+
+
+def _library_imports(tree):
+    """(line, module) for every import of a library module in the AST; an
+    import of the package itself reads as __init__."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                head, _, rest = alias.name.partition(".")
+                if head == "qfc":
+                    yield node.lineno, rest.split(".")[0] or "__init__"
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                path = node.module or ""
+            elif (node.module or "").split(".")[0] == "qfc":
+                path = node.module.partition(".")[2]
+            else:
+                continue
+            if path:
+                yield node.lineno, path.split(".")[0]
+            else:
+                # from . import serialize: the names are modules
+                for alias in node.names:
+                    yield node.lineno, alias.name
+
+
+def test_module_layers():
+    # __init__ only re-exports; every other module has a place in LAYERS
+    modules = {name[:-3] for name, _ in _trees() if name != "__init__.py"}
+    assert modules == set(LAYERS)
+    found = []
+    for name, tree in _trees():
+        module = name[:-3]
+        if module == "__init__":
+            continue
+        below = set() if module in LEAVES else set(LAYERS[: LAYERS.index(module)])
+        found += [
+            f"{name}:{line}:{target}"
+            for line, target in _library_imports(tree)
+            if target not in below
+        ]
+    assert found == []

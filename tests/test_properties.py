@@ -1,9 +1,10 @@
 """Property tests drawn by hypothesis: equivalence over Q (random
 discriminants, matrices and scalings), equivalence over real quadratic
-bases with D totally negative against the coordinate box, square roots and
-canonical discriminants in K on every base, and the integer-coordinate
-kernel of K against Fraction pairs, with the JSON round trip of its
-elements."""
+bases with D totally negative against the coordinate box, the box search
+over Q(i) and mixed-sign D against a reference box, the positivity
+conditions of totally negative D, square roots and canonical
+discriminants in K on every base, and the integer-coordinate kernel of K
+against Fraction pairs, with the JSON round trip of its elements."""
 
 import random
 from fractions import Fraction
@@ -17,11 +18,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from conftest import forms_with_disc, random_gamma, transformed_ideal  # noqa: E402
+from conftest import (  # noqa: E402
+    forms_with_disc,
+    random_gamma,
+    random_oriented_ideal,
+    transformed_ideal,
+)
 
 from qfc import (  # noqa: E402
     EQUIVALENT,
     NOT_EQUIVALENT,
+    EquivalenceResult,
     REGISTRY,
     UNKNOWN,
     OrientedIdeal,
@@ -34,10 +41,12 @@ from qfc import (  # noqa: E402
     k_sqrt,
     make_extension,
     oriented_equivalent,
+    phi,
     proper_equivalence,
     psi,
     serialize,
     tp_unit_sqrt,
+    tpd_sign_check,
 )
 from qfc.ideals import _coordinate_box, _quotient_module  # noqa: E402
 
@@ -131,23 +140,25 @@ CM_EXTS = [
 
 
 @lru_cache(maxsize=None)
-def _cm_forms(ext):
+def _seed_forms(ext):
     return forms_with_disc(ext.base, ext.d, 3)
 
 
 def _box_status(a, b, bound=2):
-    """The coordinate-box search over J * I^-1 at `bound`: equivalent with
-    a verified witness, or unknown."""
+    """The coordinate-box search over J * I^-1 at `bound`: each gamma is
+    built in L and kept when N(gamma)/det M is a unit.  The first verified
+    witness as (equivalent, gamma), or (unknown, None)."""
     ext = a.ext
+    target = tuple(x * y for x, y in zip(a.eps, b.eps))
     quotient = _quotient_module(a, b)
     n0 = quotient.det_m()
     for s, t in _coordinate_box(ext.base, bound):
         gamma = ext.from_base(s) * quotient.alpha + ext.from_base(t) * quotient.beta
         if gamma.is_zero() or not (gamma.norm() / n0).is_unit():
             continue
-        if a.basis.scale(gamma).same_module(b.basis):
-            return EQUIVALENT
-    return UNKNOWN
+        if gamma.norm().signs() == target and a.basis.scale(gamma).same_module(b.basis):
+            return EquivalenceResult(EQUIVALENT, gamma)
+    return EquivalenceResult(UNKNOWN, None)
 
 
 def _assert_witness(a, b, gamma):
@@ -164,14 +175,14 @@ def _assert_witness(a, b, gamma):
 )
 def test_cm_equivalence_agrees_with_the_box(ext, i, j, seed):
     rng = random.Random(seed)
-    forms = _cm_forms(ext)
+    forms = _seed_forms(ext)
     a = transformed_ideal(psi(forms[i % len(forms)], ext), rng)
     b = transformed_ideal(psi(forms[j % len(forms)], ext), rng)
     # one orientation: a flipped one is settled before any search
     b = OrientedIdeal(b.basis, a.eps)
     res = oriented_equivalent(a, b)
     assert res.status in (EQUIVALENT, NOT_EQUIVALENT)
-    if _box_status(a, b) == EQUIVALENT:
+    if _box_status(a, b).status == EQUIVALENT:
         assert res.status == EQUIVALENT
     if res.status == EQUIVALENT:
         _assert_witness(a, b, res.gamma)
@@ -179,6 +190,60 @@ def test_cm_equivalence_agrees_with_the_box(ext, i, j, seed):
     res = oriented_equivalent(a, c)
     assert res.status == EQUIVALENT
     _assert_witness(a, c, res.gamma)
+
+
+# -- the box search over Q(i) and mixed-sign D -------------------------------
+
+# D = 7, 3 and 4i over Q(i); mixed-sign D over the real quadratic bases, from
+# the benchmark's lists
+BOX_EXTS = [
+    make_extension(REGISTRY[tag], REGISTRY[tag](*d))
+    for tag, d in (
+        ("q_i", (7, 0)),
+        ("q_i", (3, 0)),
+        ("q_i", (0, 4)),
+        ("q_sqrt2", (-1, 2)),
+        ("q_sqrt5", (1, -3)),
+        ("q_sqrt13", (-1, 1)),
+    )
+]
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.sampled_from(BOX_EXTS),
+    st.integers(0, 999),
+    st.integers(0, 999),
+    st.integers(0, 2**32),
+)
+def test_box_search_agrees_with_the_reference_box(ext, i, j, seed):
+    rng = random.Random(seed)
+    forms = _seed_forms(ext)
+    a = transformed_ideal(psi(forms[i % len(forms)], ext), rng)
+    unrelated = transformed_ideal(psi(forms[j % len(forms)], ext), rng)
+    scaled = a.scale(random_gamma(ext, rng))
+    for b in (unrelated, scaled):
+        res = oriented_equivalent(a, b, 2)
+        assert res == _box_status(a, b)
+        if res.status == EQUIVALENT:
+            _assert_witness(a, b, res.gamma)
+
+
+# -- the paper's second theorem: positivity for totally negative D ------------
+
+TPD_EXTS = [make_extension(Q, d) for d in (-23, -4, -71)] + CM_EXTS
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TPD_EXTS), st.integers(0, 2**32))
+def test_positivity_conditions_agree(ext, seed):
+    # at every real embedding the leading Phi-coefficient, det M and
+    # Im(beta/alpha) have one sign, and Phi is totally positive definite
+    # exactly when every orientation sign is +1
+    a = random_oriented_ideal(ext, random.Random(seed), _seed_forms(ext))
+    for i in range(ext.base.r):
+        assert len(set(tpd_sign_check(a, i))) == 1
+    assert phi(a.align()).is_tpd() == all(e == 1 for e in a.eps)
 
 
 # -- square roots in K, on all five bases -------------------------------------
