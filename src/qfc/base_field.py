@@ -3,9 +3,9 @@
 The registry is fixed: Q, Q(i), Q(sqrt 2), Q(sqrt 5), Q(sqrt 13).  All five
 are norm-Euclidean and have narrow class number one; both facts are
 load-bearing (the gcd below and the module reduction in `ideals` terminate,
-and units of every sign pattern exist).  Extending the registry is a config
-change, but candidates must satisfy both properties; Q(sqrt 3) for instance
-is excluded because its fundamental unit has norm +1.
+and units of every sign pattern exist; Q(sqrt 3) lacks the second).  Adding
+a base is not a config change: the `r == 0` branches of `canonical_associate`
+and `correspondence.canonical_disc` also assume the units of Q(i), i^k.
 
 An element is (n0 + n1*w)/den over the integral basis {1, w}, where w is
 sqrt(m) for m = -1, 2 and (1 + sqrt(m))/2 for m = 5, 13: integers n0, n1

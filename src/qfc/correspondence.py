@@ -85,21 +85,22 @@ def psi(q: QuadraticForm, ext: Extension | None = None) -> OrientedIdeal:
     Without `ext`, the extension is built from the canonical representative
     of the orbit of disc(q).  Either way disc(q) must be u^2 D for the
     extension's D and a totally positive unit u = tp_unit_sqrt(disc(q)/D),
-    and the square root is taken as u*sqrt(D).
+    which is 1 when disc(q) = D, and the square root is taken as u*sqrt(D).
+    The basis is IdealBasis.triangular with a0 = a, s = (u*w - b)/2, t = u,
+    so beta = -b/2 + (u/2)*sqrt(D).
     """
     if not q.is_primitive():
         raise NotPrimitive("psi requires a primitive form")
     dq = q.disc()
     if ext is None:
         ext = make_extension(q.field, canonical_disc(q.field, dq))
-    u = tp_unit_sqrt(q.field, dq / ext.d)
+    u = q.field.one if dq == ext.d else tp_unit_sqrt(q.field, dq / ext.d)
     if u is None:
         raise DiscriminantNotInClass(
             f"disc {dq} is not u^2 * {ext.d} for a totally positive unit u"
         )
-    alpha = ext.from_base(q.a)
-    beta = ext.element(-q.b / 2, u / 2)
-    return OrientedIdeal(IdealBasis(alpha, beta), q.a.signs())
+    basis = IdealBasis.triangular(ext, q.a, (u * ext.w - q.b) / 2, u)
+    return OrientedIdeal(basis, q.a.signs())
 
 
 def identity_form(ext: Extension) -> QuadraticForm:
@@ -128,8 +129,9 @@ def compose(
     if q1.field is not q2.field:
         raise ValueError("forms over different base fields")
     if ext is None:
-        d1 = canonical_disc(q1.field, q1.disc())
-        if d1 != canonical_disc(q2.field, q2.disc()):
+        disc1, disc2 = q1.disc(), q2.disc()
+        d1 = canonical_disc(q1.field, disc1)
+        if disc2 != disc1 and d1 != canonical_disc(q2.field, disc2):
             raise DiscriminantNotInClass(
                 "forms have discriminants in different unit-square orbits"
             )

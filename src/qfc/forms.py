@@ -10,10 +10,10 @@ enumeration and cycle count over Q (which serve as oracles for the
 correspondence and give the class numbers of the structure reports).
 """
 
-from functools import reduce
+from itertools import combinations
 from math import gcd, isqrt
 
-from .base_field import BaseElement, Field, _gcd_core
+from .base_field import BaseElement, Field
 from .base_field import Q as _Q
 from .errors import (
     DiscriminantMismatch,
@@ -57,10 +57,19 @@ class QuadraticForm:
         return self.a * x * x + self.b * x * y + self.c * y * y
 
     def is_primitive(self) -> bool:
-        """Whether the nonzero coefficients have a unit gcd; the zero form
-        is not primitive."""
-        nonzero = [v for v in (self.a, self.b, self.c) if not v.is_zero()]
-        return bool(nonzero) and reduce(_gcd_core, nonzero).is_unit()
+        """Whether a, b, c generate O_K: over Q, gcd(a, b, c) = 1; over
+        quadratic K, the gcd of the 2x2 minors of the integer coordinates of
+        a, a*w, b, b*w, c, c*w is 1, as that is the index in O_K of their
+        Z-span, the ideal (a, b, c).  The zero form is not primitive."""
+        f = self.field
+        if f.is_rational:
+            return gcd(self.a.n0, self.b.n0, self.c.n0) == 1
+        vecs = []
+        for v in (self.a, self.b, self.c):
+            # v*w = -N(w)*n1 + (n0 + T(w)*n1)*w, since w^2 = T(w)*w - N(w)
+            vecs += [(v.n0, v.n1), (-f.omega_norm * v.n1, v.n0 + f.omega_trace * v.n1)]
+        minors = (x0 * y1 - x1 * y0 for (x0, x1), (y0, y1) in combinations(vecs, 2))
+        return gcd(*minors) == 1
 
     def scale(self, u) -> "QuadraticForm":
         """(u a, u b, u c); keeps integrality when u is a unit."""

@@ -10,10 +10,11 @@ the basis so its orientation matches the sign vector.
 """
 
 from collections import namedtuple
+from functools import reduce
 from itertools import product
 from math import lcm
 
-from .base_field import BaseElement, _unit_slide, canonical_associate, gcd_k
+from .base_field import BaseElement, _gcd_core, _unit_slide, canonical_associate
 from .errors import (
     DegenerateBasis,
     DomainError,
@@ -51,6 +52,23 @@ class IdealBasis:
             for gen in (alpha * omega, beta * omega):
                 if not self.contains(gen):
                     raise NotAnIdeal("[alpha, beta] is not an O_L-module")
+
+    @classmethod
+    def triangular(cls, ext: Extension, a0, s, t) -> "IdealBasis":
+        """[a0, s + t*W] for a0, s, t in K, by the relative form of Cohen's
+        test that [a, (-b + sqrt D)/2] is an ideal iff 4a | b^2 - D (GTM
+        138, 5.2): an O_L-module iff a = a0/t and r = s/t lie in O_K and
+        a | N(r + W) = r^2 - w*r + z, that is t | a0, t | s and
+        a0*t | N(s + t*W).  Proof: by W^2 = -w*W - z, the basis coordinates
+        of W*a0 and W*(s + t*W) are (-r, a) and (-N(r + W)/a, r - w).  The
+        test of r is implied: v_p(r) < 0 gives v_p(N(r + W)) = 2*v_p(r).
+        Raises what the generic constructor raises on the same basis."""
+        if a0.is_zero() or t.is_zero():
+            raise DegenerateBasis("alpha, beta are K-linearly dependent")
+        a, r = a0 / t, s / t
+        if not (a.is_integral() and ((r * (r - ext.w) + ext.z) / a).is_integral()):
+            raise NotAnIdeal("[alpha, beta] is not an O_L-module")
+        return cls(ext.from_base(a0), ext.from_module_coords(s, t), _checked=True)
 
     def __setattr__(self, name, value):
         raise AttributeError("IdealBasis is immutable")
@@ -120,8 +138,9 @@ def reduce_generators(gens, ext: Extension) -> IdealBasis:
 
     Triangular form over {1, W} coordinates with gcd pivots.  The output is
     canonical for the module: the pivots are determined up to units and get
-    normalized to their canonical associates, and the off-diagonal entry is
-    reduced modulo the first pivot.
+    normalized to their canonical associates, once each, and the
+    off-diagonal entry is reduced modulo the first pivot.  The basis is
+    built, and checked, by `IdealBasis.triangular`.
     """
     rows = []
     for g in gens:
@@ -157,22 +176,14 @@ def reduce_generators(gens, ext: Extension) -> IdealBasis:
     if not pile:
         raise RankDeficient("generators span a rank-1 module")
 
-    a0 = pile[0]
-    for s in pile[1:]:
-        a0 = gcd_k(a0, s)
-
     # back to fractional scale, then canonicalize
-    a0 = a0 / dd
+    a0 = canonical_associate(reduce(_gcd_core, pile) / dd)
     b_s, b_t = pivot[0] / dd, pivot[1] / dd
-    a0 = canonical_associate(a0)
     t_canon = canonical_associate(b_t)
     u = t_canon / b_t
     b_s, b_t = b_s * u, t_canon
     b_s = b_s - (b_s / a0).round_coords() * a0
-
-    alpha = ext.from_module_coords(a0, a0.field.zero)
-    beta = ext.from_module_coords(b_s, b_t)
-    return IdealBasis(alpha, beta)
+    return IdealBasis.triangular(ext, a0, b_s, b_t)
 
 
 class OrientedIdeal:

@@ -60,7 +60,7 @@ class TestPrimitivity:
 
     def test_zero_coefficients(self):
         # the gcd of the nonzero coefficients decides; gcd(0, 0, 1) = 1
-        for f in (Q, QI, QS5):
+        for f in (Q, QI, QS2, QS5, field("q_sqrt13")):
             assert QuadraticForm(f, 0, 0, 1).is_primitive()
             assert QuadraticForm(f, 1, 0, 0).is_primitive()
             assert QuadraticForm(f, 0, 1, 0).is_primitive()

@@ -1,13 +1,14 @@
 """Ideal bases, orientation, reduction, multiplication, and equivalence."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
 from conftest import (
     forms_with_disc,
     random_gamma,
+    random_int_element,
     random_oriented_ideal,
     random_unimodular,
 )
@@ -42,6 +43,14 @@ QS5 = field("q_sqrt5")
 E23 = make_extension(Q, -23)
 E40 = make_extension(Q, 40)
 E5N4 = make_extension(QS5, QS5(-4))
+# one extension per base for the laws of reduce_generators
+REGENERATION_EXTS = (
+    E23,
+    E5N4,
+    make_extension(QI, QI(4, -2)),
+    make_extension(field("q_sqrt2"), field("q_sqrt2")(-1, 2)),
+    make_extension(field("q_sqrt13"), field("q_sqrt13")(-3)),
+)
 
 
 def unit_ideal(ext):
@@ -164,8 +173,8 @@ class TestReduceGenerators:
             reduce_generators([E23.zero], E23)
 
     def test_canonical_under_regeneration(self, rng):
-        # the reduced basis depends only on the module
-        for ext in (E23, E5N4):
+        # the reduced basis depends only on the module, on all five bases
+        for ext in REGENERATION_EXTS:
             seed = forms_with_disc(ext.base, ext.d, 3)
             for _ in range(8):
                 a = random_oriented_ideal(ext, rng, seed)
@@ -178,6 +187,21 @@ class TestReduceGenerators:
                 b2 = reduce_generators([g1, g2, basis.alpha], ext)
                 assert b1.alpha == b2.alpha and b1.beta == b2.beta
                 assert b1.same_module(basis)
+                # the four products of a product basis, in every order and
+                # with redundant O_K-combinations of them added
+                other = random_oriented_ideal(ext, rng, seed).basis
+                gens = [x * y for x in (basis.alpha, basis.beta)
+                        for y in (other.alpha, other.beta)]
+                want = reduce_generators(gens, ext)
+                for perm in permutations(gens):
+                    assert reduce_generators(list(perm), ext) == want
+                k1, k2 = (
+                    ext.from_base(random_int_element(ext.base, rng)) for _ in "12"
+                )
+                extra = [k1 * gens[0] + k2 * gens[3], gens[1] - k1 * gens[2]]
+                mixed = extra + gens
+                rng.shuffle(mixed)
+                assert reduce_generators(mixed, ext) == want
 
 
 class TestConjInverse:

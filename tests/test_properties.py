@@ -3,12 +3,14 @@ discriminants, matrices and scalings), equivalence over real quadratic
 bases with D totally negative against the coordinate box, the box search
 over Q(i) and mixed-sign D against a reference box, the positivity
 conditions of totally negative D, square roots and canonical
-discriminants in K on every base, and the integer-coordinate kernel of K
-against Fraction pairs, with the JSON round trip of its elements."""
+discriminants in K on every base, the integer-coordinate kernel of K
+against Fraction pairs, with the JSON round trip of its elements, and the
+triangular ideal check and the primitivity test against their generic
+references."""
 
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 from math import floor, gcd, isqrt, lcm
 
@@ -22,13 +24,16 @@ from conftest import (  # noqa: E402
     forms_with_disc,
     random_gamma,
     random_oriented_ideal,
+    random_unimodular,
     transformed_ideal,
 )
 
 from qfc import (  # noqa: E402
     EQUIVALENT,
     NOT_EQUIVALENT,
+    DomainError,
     EquivalenceResult,
+    IdealBasis,
     REGISTRY,
     UNKNOWN,
     OrientedIdeal,
@@ -48,6 +53,7 @@ from qfc import (  # noqa: E402
     tp_unit_sqrt,
     tpd_sign_check,
 )
+from qfc.base_field import _gcd_core  # noqa: E402
 from qfc.ideals import _coordinate_box, _quotient_module  # noqa: E402
 
 FUNDAMENTAL = [
@@ -441,3 +447,107 @@ def test_kelement_json_round_trip(f, c0, c1):
         serialize.kelement_from_json(f, serialize.kelement_to_json(x))
     )
     assert serialize.canonical_dumps(again) == first
+
+
+# -- the triangular ideal check and primitivity, on all five bases ------------
+
+# with w != 0 and z != 0 on most, so every term of N(s + t*W) is exercised
+TRI_EXTS = [make_extension(Q, 40)] + TPD_EXTS + BOX_EXTS
+
+
+def _outcome(build):
+    """The basis `build` returns, or the type of the DomainError it raises."""
+    try:
+        return build()
+    except DomainError as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(TRI_EXTS),
+    st.booleans(),
+    rationals,
+    rationals,
+    small,
+    small,
+    small,
+    small,
+    st.integers(1, 3),
+    st.integers(1, 3),
+    rationals,
+    rationals,
+)
+def test_triangular_check_equals_the_generic_one(
+    ext, scaled, t0, t1, x0, x1, y0, y1, k, m, r0, r1
+):
+    # scaled: [t*x/k, t*y/m + t*W], an ideal exactly when x/k and y/m lie in
+    # O_K and x/k | N(y/m + W); k, m > 1 make each condition fail on some
+    # draws.  Else arbitrary fractional a0 = r and s = y/3
+    f = ext.base
+    t = _element(f, t0, t1)
+    if scaled:
+        a0, s = t * _element(f, x0, x1) / k, t * _element(f, y0, y1) / m
+    else:
+        a0, s = _element(f, r0, r1), _element(f, y0, y1) / 3
+    want = _outcome(lambda: IdealBasis(ext.from_base(a0), ext.from_module_coords(s, t)))
+    got = _outcome(lambda: IdealBasis.triangular(ext, a0, s, t))
+    if isinstance(want, IdealBasis):
+        assert isinstance(got, IdealBasis)
+        assert (got.alpha, got.beta) == (want.alpha, want.beta)
+        assert got.det_m() == want.det_m()
+    else:
+        assert got is want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(TRI_EXTS),
+    st.integers(0, 999),
+    st.integers(-3, 3),
+    st.integers(0, 2**32),
+)
+def test_psi_basis_is_the_direct_construction(ext, i, k, seed):
+    # [a, -b/2 + (u/2)*sqrt(D)] with u = tp_unit_sqrt(disc(q)/D), for q of
+    # discriminant D, or u'^2 D after scaling by a totally positive unit u'
+    f = ext.base
+    forms = _seed_forms(ext)
+    q = forms[i % len(forms)].transform(
+        Transformation(f, *random_unimodular(f, random.Random(seed), torsion=False))
+    )
+    q = q.scale(_tp_unit(f, k))
+    u = tp_unit_sqrt(f, q.disc() / ext.d)
+    a = psi(q, ext)
+    assert a.basis.alpha == ext.from_base(q.a)
+    assert a.basis.beta == ext.element(-q.b / 2, u / 2)
+    assert a.eps == q.a.signs()
+
+
+def _primitive_reference(q):
+    """The norm-Euclidean test: the nonzero coefficients have a unit gcd."""
+    nonzero = [v for v in q.coefficients() if not v.is_zero()]
+    return bool(nonzero) and reduce(_gcd_core, nonzero).is_unit()
+
+
+coefficient = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(BASES),
+    coefficient,
+    coefficient,
+    coefficient,
+    st.tuples(small, small),
+    st.sets(st.integers(0, 2), max_size=3),
+)
+def test_is_primitive_equals_the_euclidean_reference(f, a, b, c, k, zeros):
+    # coefficients zeroed at random (all three: the zero form) and scaled
+    # by a random element, a non-unit more often than not
+    coeffs = [
+        f.zero if i in zeros else _element(f, *v) for i, v in enumerate((a, b, c))
+    ]
+    q = QuadraticForm(f, *coeffs)
+    assert q.is_primitive() == _primitive_reference(q)
+    scaled = q.scale(_element(f, *k))
+    assert scaled.is_primitive() == _primitive_reference(scaled)
