@@ -16,7 +16,7 @@ floating point anywhere.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from math import gcd, isqrt, lcm
 
 from .errors import (
@@ -598,23 +598,63 @@ def k_sqrt(x: BaseElement):
     return y if y.c1 > 0 or (y.c1 == 0 and y.c0 >= 0) else -y
 
 
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin for odd n without prime factors up to 41.  The first 13
+    primes as bases are exact below _MR_BOUND (Sorenson and Webster, Math.
+    Comp. 86, 2017); a probable prime above it raises DomainError."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * odd
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(s)):
+            return False
+    if n >= _MR_BOUND:
+        raise DomainError(f"cannot prove {n} prime")
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper factor of the odd composite n: Pollard-Brent rho on
+    y -> y^2 + c, c = 1, 2, ..., one gcd per block of steps."""
+    for c in count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x, ys, r, q = y, y, 2 * r, 1
+            for _ in range(r):
+                y = (y * y + c) % n
+                q = q * (x - y) % n
+            g = gcd(q, n)
+        if g == n:  # the block overshot: step through it again
+            g, y = 1, ys
+            while g == 1:
+                y = (y * y + c) % n
+                g = gcd(x - y, n)
+        if g != n:
+            return g
+
+
 def _factor_int(n: int) -> dict[int, int]:
-    """Trial-division factorization; inputs here are desk-scale norms."""
+    """{prime: exponent} of |n|, primes ascending: trial division below
+    1000, then Miller-Rabin and Pollard-Brent rho on the cofactor."""
     n = abs(n)
     out: dict[int, int] = {}
-    for p in (2, 3):
+    p = 2
+    while p * p <= n and p < 1000:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    p = 5
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 2 if p % 6 == 5 else 4
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+        p += 1 if p == 2 else 2
+    stack = [n] if n > 1 else []
+    while stack:  # every factor left is at least p
+        m = stack.pop()
+        if m < p * p or _is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            f = _rho(m)
+            stack += [f, m // f]
+    return dict(sorted(out.items()))
 
 
 def primes_above(f: Field, ell: int) -> list[BaseElement]:

@@ -93,7 +93,7 @@ def _load_ideal_arg(text: str):
         return json.loads(text)
     except OSError as exc:
         raise ParseError(f"cannot read ideal file: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # JSON, UTF-8, nesting depth
         raise ParseError(f"bad ideal JSON: {exc}") from exc
 
 

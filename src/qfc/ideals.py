@@ -10,6 +10,7 @@ the basis so its orientation matches the sign vector.
 """
 
 from collections import namedtuple
+from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import lcm
@@ -20,10 +21,11 @@ from .errors import (
     DomainError,
     ExtensionMismatch,
     NotAnIdeal,
+    NotIntegral,
     RankDeficient,
 )
 from .extension import ExtElement, Extension
-from .forms import QuadraticForm, _as_int_form, _proper_matrix
+from .forms import _proper_matrix
 from .lattice import lll_gram, short_vectors
 
 
@@ -359,6 +361,49 @@ def _cm_generator(module: IdealBasis):
     return None
 
 
+def _q_aligned(ideal: OrientedIdeal, d: int):
+    """Over Q: (den, ax, ay, bx, by, m) with alpha = (ax + ay*sqrt D)/den,
+    beta = (bx + by*sqrt D)/den, m = den^2 det M, alpha negated unless m has
+    sign eps (as `align` does), and the Phi-image as an integer triple."""
+    al, be = ideal.basis.alpha, ideal.basis.beta
+    den = lcm(al.x.den, al.y.den, be.x.den, be.y.den)
+    ax, ay, bx, by = (v.n0 * (den // v.den) for v in (al.x, al.y, be.x, be.y))
+    m = 2 * (ax * by - ay * bx)
+    if (m > 0) != (ideal.eps[0] > 0):
+        ax, ay, m = -ax, -ay, -m
+    form = (ax * ax - d * ay * ay, -2 * (ax * bx - d * ay * by), bx * bx - d * by * by)
+    if any(c % m for c in form):
+        raise NotIntegral("form coefficients must lie in O_K")
+    return (den, ax, ay, bx, by, m), tuple(c // m for c in form)
+
+
+def _q_generator(a: OrientedIdeal, b: OrientedIdeal, sign: int):
+    """Over Q, in integers: gamma with gamma*I = J and N(gamma) of `sign`, or
+    None.  f o T = g for the aligned Phi-images makes [p alpha_a - r beta_a,
+    ...] a basis of I with form g, so gamma = alpha_b / (p alpha_a - r beta_a).
+    DomainError unless N(gamma) has `sign` and gamma*alpha_a, gamma*beta_a
+    have integer coordinates in [alpha_b, beta_b] (Cramer) of determinant +-1."""
+    d = a.ext.d.n0
+    (ia, fa), (ib, fb) = _q_aligned(a, d), _q_aligned(b, d)
+    mat = _proper_matrix(fa, fb)
+    if mat is None:
+        return None
+    (da, ax, ay, bx, by, _), (db, cx, cy, ex, ey, mb) = ia, ib
+    # delta = (sx + sy*sqrt D)/da; gamma = alpha_b*conj(delta)/N(delta)
+    sx, sy = mat[0] * ax - mat[2] * bx, mat[0] * ay - mat[2] * by
+    gx, gy = (cx * sx - d * cy * sy) * da, (cy * sx - cx * sy) * da
+    g = db * (sx * sx - d * sy * sy)  # gamma = (gx + gy*sqrt D)/g
+    q, coords = g * da * mb, []  # gamma*alpha_a, gamma*beta_a have denominator g*da
+    for x, y in ((ax, ay), (bx, by)):
+        ux, uy = gx * x + d * gy * y, gx * y + gy * x
+        coords += [2 * db * (ux * ey - ex * uy), 2 * db * (cx * uy - ux * cy)]
+    n1, n2, n3, n4 = coords  # q * (the coordinate matrix)
+    if (not q or any(n % q for n in coords) or abs(n1 * n4 - n2 * n3) != q * q
+            or (gx * gx - d * gy * gy > 0) != (sign > 0)):
+        raise DomainError("equivalence witness failed verification")
+    return a.ext.element(Fraction(gx, g), Fraction(gy, g))
+
+
 def oriented_equivalent(
     a: OrientedIdeal, b: OrientedIdeal, search_bound: int = 8
 ) -> EquivalenceResult:
@@ -369,7 +414,8 @@ def oriented_equivalent(
     decided completely, and `search_bound` is ignored in them:
     - over base Q, the Phi-images of the aligned ideals are reduced and
       compared (one reduced form for d < 0, one cycle of reduced forms for
-      d > 0);
+      d > 0); the alignment, the Phi-images, gamma and its check run on
+      integers (`_q_generator`);
     - over a real quadratic base with D totally negative, a generator of
       J * I^{-1} is sought by LLL and Fincke-Pohst enumeration of
       Tr_{K/Q} N_{L/K} up to the least trace of a totally positive
@@ -390,37 +436,21 @@ def oriented_equivalent(
     if ext.totally_negative_d() and any(s == -1 for s in target):
         return EquivalenceResult(NOT_EQUIVALENT, None)
 
-    def witness_ok(gamma):
-        if gamma.is_zero():
-            return False
-        if gamma.norm().signs() != target:
-            return False
-        return a.basis.scale(gamma).same_module(b.basis)
+    def witness_ok(gamma):  # gamma is nonzero
+        sign_ok = gamma.norm().signs() == target
+        return sign_ok and a.basis.scale(gamma).same_module(b.basis)
 
     if base.is_rational:
-        # f o T = g makes [p alpha_a - r beta_a, ...] a basis of a with form g
-        a_al, b_al = a.align().basis, b.align().basis
-        mat = _proper_matrix(
-            _as_int_form(QuadraticForm(base, *a_al.norm_form())),
-            _as_int_form(QuadraticForm(base, *b_al.norm_form())),
-        )
-        if mat is None:
-            gamma = None
-        else:
-            p, r = base(mat[0]), base(mat[2])
-            gamma = b_al.alpha / (a_al.alpha * p - a_al.beta * r)
-    elif base.r == 2 and ext.totally_negative_d():
+        gamma = _q_generator(a, b, target[0])
+        return EquivalenceResult(NOT_EQUIVALENT if gamma is None else EQUIVALENT, gamma)
+    if base.r == 2 and ext.totally_negative_d():
         gamma = _cm_generator(_quotient_module(a, b))
     else:
         quotient = _quotient_module(a, b)
         n0 = quotient.det_m()
         for s, t in _coordinate_box(base, search_bound):
             gamma = ext.from_base(s) * quotient.alpha + ext.from_base(t) * quotient.beta
-            if gamma.is_zero():
-                continue
-            if not (gamma.norm() / n0).is_unit():
-                continue
-            if witness_ok(gamma):
+            if gamma and (gamma.norm() / n0).is_unit() and witness_ok(gamma):
                 return EquivalenceResult(EQUIVALENT, gamma)
         return EquivalenceResult(UNKNOWN, None)
 

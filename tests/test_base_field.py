@@ -296,6 +296,73 @@ class TestFundamental:
         assert not is_fundamental(QI(8))
 
 
+class TestFactorInt:
+    """`_factor_int`: trial division below 1000, then Miller-Rabin and
+    Pollard-Brent rho on the cofactor."""
+
+    def test_against_trial_division(self):
+        from qfc.base_field import _factor_int
+
+        limit = 10**5
+        spf = list(range(limit))  # smallest prime factor, by a sieve
+        for p in range(2, 317):
+            if spf[p] == p:
+                for k in range(p * p, limit, p):
+                    if spf[k] == k:
+                        spf[k] = p
+        for n in range(1, limit):
+            expected, m = {}, n
+            while m > 1:
+                expected[spf[m]] = expected.get(spf[m], 0) + 1
+                m //= spf[m]
+            got = _factor_int(n)
+            assert got == expected and list(got) == sorted(got), n
+            assert _factor_int(-n) == got
+
+    def test_against_sympy(self):
+        import random
+
+        sympy = pytest.importorskip("sympy")
+        from qfc.base_field import _factor_int
+
+        rng = random.Random(1801)
+        digits = range(3, 10)
+        primes = [sympy.nextprime(rng.randrange(10**k, 10 ** (k + 1))) for k in digits]
+        for _ in range(200):
+            n = rng.randrange(1, 10 ** rng.randint(6, 18))
+            if rng.random() < 0.5:  # a product of larger primes
+                n = rng.choice(primes) * rng.choice(primes) * rng.randint(1, 999)
+            got = _factor_int(n)
+            assert got == sympy.factorint(n) and list(got) == sorted(got), n
+
+    def test_large_factors_are_fast(self):
+        from time import perf_counter
+
+        from qfc.base_field import _factor_int
+
+        cases = [
+            (10000000000000000097, {10000000000000000097: 1}),  # 20-digit prime
+            (3000000019 * 7000000103, {3000000019: 1, 7000000103: 1}),
+            # above the Miller-Rabin bound, split down to proven primes
+            (4 * (2**61 - 1) * 1000000007, {2: 2, 1000000007: 1, 2**61 - 1: 1}),
+        ]
+        for n, expected in cases:
+            start = perf_counter()
+            assert _factor_int(n) == expected
+            assert is_fundamental(Q(n)) == (n % 4 == 1)
+            assert perf_counter() - start < 1.0, n
+
+    def test_unprovable_cofactor_raises(self):
+        from qfc import DomainError
+        from qfc.base_field import _factor_int
+
+        # 2^89 - 1 is prime, above the bound where the 13 bases are proven
+        with pytest.raises(DomainError):
+            _factor_int(2**89 - 1)
+        with pytest.raises(DomainError):
+            is_fundamental(Q(4 * (2**89 - 1)))
+
+
 class TestRegistryConfig:
     def test_readable_config(self):
         from qfc.base_field import registry_config

@@ -208,6 +208,16 @@ class TestErrorContract:
             capsys, "phi", "--base", "q", "--d", "-4", "--ideal", f"@{path}"
         ))
 
+    def test_deeply_nested_ideal(self, capsys, tmp_path):
+        # json.loads raises RecursionError, not ValueError, on deep nesting
+        nested = "[" * 100_000
+        path = tmp_path / "nested.json"
+        path.write_text(nested)
+        for arg in (nested, f"@{path}"):
+            self.assert_parse_error(*run_cli(
+                capsys, "phi", "--base=q", "--d=-23", f"--ideal={arg}"
+            ))
+
     def test_numeric_coordinate(self, capsys):
         _, report = run_json(capsys, "psi", "--base", "q", "--form", "1,0,1")
         report["ideal"]["alpha"]["x"]["c0"] = 1

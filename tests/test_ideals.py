@@ -486,6 +486,54 @@ class TestOrientedEquivalent:
         with pytest.raises(DomainError):
             oriented_equivalent(a, psi(QuadraticForm(Q, 2, 1, 3)))
 
+    def test_witness_in_a_proper_submodule_raises(self, monkeypatch):
+        import qfc.ideals
+        from qfc import DomainError
+
+        # T = 1 gives gamma = alpha_b = 2 for a = O_L and b = Psi(2, 2, -1)
+        # over D = 12, and 2*O_L has index 2 in b: integral coordinates of
+        # determinant 2
+        monkeypatch.setattr(qfc.ideals, "_proper_matrix", lambda f, g: (1, 0, 0, 1))
+        ext = make_extension(Q, 12)
+        a = OrientedIdeal(unit_ideal(ext), (1,))
+        b = psi(QuadraticForm(Q, 2, 2, -1), ext)
+        with pytest.raises(DomainError):
+            oriented_equivalent(a, b)
+
+    def test_witness_of_the_wrong_sign_raises(self, monkeypatch):
+        import qfc.ideals
+        from qfc import DomainError
+
+        # over D = 5, T = (0, -1; 1, 0) gives gamma = -1/W for a = b = O_L:
+        # gamma*O_L = O_L, but N(W) = -1 while both orientations are +1
+        monkeypatch.setattr(qfc.ideals, "_proper_matrix", lambda f, g: (0, -1, 1, 0))
+        a = OrientedIdeal(unit_ideal(make_extension(Q, 5)), (1,))
+        with pytest.raises(DomainError):
+            oriented_equivalent(a, a)
+
+    def test_witness_with_fractional_coordinates_raises(self, monkeypatch):
+        import qfc.ideals
+        from qfc import DomainError
+
+        # over D = -4, b = [2 + i, 1] is O_L, and T = (2, 1; 1, 1) gives
+        # delta = 2 - i and gamma = (2 + i)/(2 - i): the coordinate matrix
+        # has determinant N(gamma) = 1 but entries such as 4/5
+        monkeypatch.setattr(qfc.ideals, "_proper_matrix", lambda f, g: (2, 1, 1, 1))
+        ext = make_extension(Q, -4)
+        a = OrientedIdeal(unit_ideal(ext), (1,))
+        b = OrientedIdeal(IdealBasis(ext.element(2, Fraction(1, 2)), ext.one), (1,))
+        with pytest.raises(DomainError):
+            oriented_equivalent(a, b)
+
+    def test_non_ideal_module_raises(self):
+        from qfc import NotIntegral
+
+        # [1, sqrt 5] spans Z[sqrt 5], not O_L: its Phi-image is (1, 0, -5)/2
+        ext = make_extension(Q, 5)
+        a = OrientedIdeal(IdealBasis(ext.one, ext.sqrt_d, _checked=True), (1,))
+        with pytest.raises(NotIntegral):
+            oriented_equivalent(a, a)
+
     def test_principal_generator(self):
         om = E23.omega
         g = E23.element(3, 1)  # 3 + sqrt(-23)? norm 9+23=32; any principal

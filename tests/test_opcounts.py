@@ -1,17 +1,32 @@
-"""Operation-count guard for composition.
+"""Operation-count guards for composition and for equivalence over Q.
 
-One `compose` of a fixed pair of forms per base is counted in products of
-K (`BaseElement.__mul__`) and of L (`ExtElement.__mul__`), through counting
-wrappers.  The counts are deterministic, so a redundant check re-added to
-the composition path shows here without timing anything.  The bounds are
-the counts of the current code; lower them when the path gets cheaper.
+One `compose` of a fixed pair of forms per base, and one
+`oriented_equivalent` of a fixed pair of ideals over Q, is counted in
+products of K (`BaseElement.__mul__`) and of L (`ExtElement.__mul__`),
+through counting wrappers.  The counts are deterministic, so a redundant
+check re-added to either path shows here without timing anything.  The
+bounds are the counts of the current code; lower them when the path gets
+cheaper.
 """
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from qfc import QuadraticForm, canonical_disc, compose, field, make_extension
+from qfc import (
+    EQUIVALENT,
+    NOT_EQUIVALENT,
+    OrientedIdeal,
+    Q,
+    QuadraticForm,
+    canonical_disc,
+    compose,
+    field,
+    make_extension,
+    oriented_equivalent,
+    psi,
+)
 from qfc.base_field import BaseElement
 from qfc.extension import ExtElement
 
@@ -57,3 +72,32 @@ def test_compose_product_counts(monkeypatch, case):
     assert compose(q1, q2) == expected
     assert counts["K"] <= k_bound
     assert counts["L"] <= l_bound
+
+
+# (D, form of a, form of b, scale b by x + y*sqrt D, flip b, status); the
+# Q path of oriented_equivalent runs on integers and builds gamma alone
+Q_PAIRS = [
+    (-23, (2, 1, 3), (2, 1, 3), (Fraction(3, 2), Fraction(1, 2)), False, EQUIVALENT),
+    (-23, (2, 1, 3), (2, -1, 3), (Fraction(1, 3), 1), False, NOT_EQUIVALENT),
+    (12, (2, 2, -1), (2, 2, -1), (Fraction(5, 2), Fraction(-1, 2)), False, EQUIVALENT),
+    (12, (1, 0, -3), (1, 0, -3), (2, Fraction(1, 3)), True, NOT_EQUIVALENT),
+]
+
+
+Q_IDS = ["d-23_equivalent", "d-23_unrelated", "d12_equivalent", "d12_flipped"]
+
+
+@pytest.mark.parametrize("pair", Q_PAIRS, ids=Q_IDS)
+def test_oriented_equivalent_q_product_counts(monkeypatch, pair):
+    d, fa, fb, (x, y), flip, status = pair
+    ext = make_extension(Q, d)
+    a = psi(QuadraticForm(Q, *fa), ext)
+    b = psi(QuadraticForm(Q, *fb), ext).scale(ext.element(x, y))
+    if flip:
+        b = OrientedIdeal(b.basis, (-b.eps[0],))
+    counts = Counter()
+    _count(monkeypatch, counts, BaseElement, "K")
+    _count(monkeypatch, counts, ExtElement, "L")
+    assert oriented_equivalent(a, b).status == status
+    assert counts["K"] <= 2
+    assert counts["L"] <= 1

@@ -1,5 +1,6 @@
 """Property tests drawn by hypothesis: equivalence over Q (random
-discriminants, matrices and scalings), equivalence over real quadratic
+discriminants, matrices and scalings, and the integer Q path against the
+generic one in K and L arithmetic), equivalence over real quadratic
 bases with D totally negative against the coordinate box, the box search
 over Q(i) and mixed-sign D against a reference box, the positivity
 conditions of totally negative D, square roots and canonical
@@ -47,6 +48,8 @@ from qfc import (  # noqa: E402
     make_extension,
     oriented_equivalent,
     phi,
+    principal_generator_q,
+    principal_oriented,
     proper_equivalence,
     psi,
     serialize,
@@ -54,6 +57,8 @@ from qfc import (  # noqa: E402
     tpd_sign_check,
 )
 from qfc.base_field import _gcd_core  # noqa: E402
+from qfc.contfrac import fundamental_unit_xy  # noqa: E402
+from qfc.forms import _as_int_form, _proper_matrix  # noqa: E402
 from qfc.ideals import _coordinate_box, _quotient_module  # noqa: E402
 
 FUNDAMENTAL = [
@@ -134,6 +139,77 @@ def test_scaled_ideal_is_equivalent(d, pick, steps, x, y, den, flip):
     assert res.status == EQUIVALENT
     assert a.basis.scale(res.gamma).same_module(b.basis)
     assert res.gamma.norm().signs() == (a.eps[0] * b.eps[0],)
+
+
+# -- the integer Q path against the generic one ---------------------------------
+
+# real quadratic D whose fundamental unit has norm +1 (flipping the
+# orientation gives another oriented class) and -1 (it gives the same one)
+NORM_PLUS_ONE = [12, 21, 24, 28, 33, 44, 56, 57, 60, 69, 76, 77, 88, 92, 93, 105]
+NORM_MINUS_ONE = [5, 8, 13, 17, 29, 37, 40, 41, 53, 61, 65, 73, 85, 89, 101, 104]
+Q_REF_DISCS = [d for d in FUNDAMENTAL if -400 < d < 0] + NORM_PLUS_ONE + NORM_MINUS_ONE
+
+
+def test_unit_norm_lists():
+    assert all(fundamental_unit_xy(d)[2] == 1 for d in NORM_PLUS_ONE)
+    assert all(fundamental_unit_xy(d)[2] == -1 for d in NORM_MINUS_ONE)
+
+
+def _q_reference(a, b):
+    """The Q path of oriented_equivalent in K and L arithmetic, as it was
+    before it ran on integers: `norm_form` of the aligned ideals,
+    `_proper_matrix`, gamma = alpha_b / (p alpha_a - r beta_a) and the
+    generic witness check (sign of N(gamma), `same_module`)."""
+    target = (a.eps[0] * b.eps[0],)
+    if a.ext.totally_negative_d() and target == (-1,):
+        return EquivalenceResult(NOT_EQUIVALENT, None)
+    a_al, b_al = a.align().basis, b.align().basis
+    mat = _proper_matrix(
+        _as_int_form(QuadraticForm(Q, *a_al.norm_form())),
+        _as_int_form(QuadraticForm(Q, *b_al.norm_form())),
+    )
+    if mat is None:
+        return EquivalenceResult(NOT_EQUIVALENT, None)
+    gamma = b_al.alpha / (a_al.alpha * Q(mat[0]) - a_al.beta * Q(mat[2]))
+    if gamma.is_zero() or gamma.norm().signs() != target:
+        raise DomainError("equivalence witness failed verification")
+    if not a.basis.scale(gamma).same_module(b.basis):
+        raise DomainError("equivalence witness failed verification")
+    return EquivalenceResult(EQUIVALENT, gamma)
+
+
+def _reference_generator(basis):
+    one = principal_oriented(basis.ext.one)
+    for e in (1, -1):
+        res = _q_reference(one, OrientedIdeal(basis, (e,)))
+        if res.status == EQUIVALENT:
+            return res.gamma
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(Q_REF_DISCS),
+    st.integers(0, 99),
+    st.integers(0, 99),
+    st.booleans(),
+    st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]),
+    st.integers(0, 2**32),
+)
+def test_q_path_equals_the_generic_reference(d, i, j, same, flips, seed):
+    # transformed_ideal changes the basis by a matrix of determinant +-1
+    # (so the basis may be unaligned) and scales by a random gamma with
+    # fractional coordinates; j picks another form, often of another class
+    ext = make_extension(Q, d)
+    forms = _small_forms(d)
+    rng = random.Random(seed)
+    a = transformed_ideal(psi(QuadraticForm(Q, *forms[i % len(forms)]), ext), rng)
+    b = a if same else psi(QuadraticForm(Q, *forms[j % len(forms)]), ext)
+    b = transformed_ideal(b, rng)
+    a, b = (OrientedIdeal(x.basis, (x.eps[0] * f,)) for x, f in zip((a, b), flips))
+    # equal elements of K have equal (n0, n1, den), so == compares gamma exactly
+    assert oriented_equivalent(a, b) == _q_reference(a, b)
+    assert principal_generator_q(b.basis) == _reference_generator(b.basis)
 
 
 # -- equivalence over a real quadratic base with D totally negative -----------
