@@ -1,14 +1,14 @@
 """Exact arithmetic in the supported base number fields.
 
-The registry is fixed: Q, Q(i), Q(sqrt 2), Q(sqrt 5), Q(sqrt 13).  All five
-are norm-Euclidean and have narrow class number one; both facts are
-load-bearing (the gcd below and the module reduction in `ideals` terminate,
-and units of every sign pattern exist; Q(sqrt 3) lacks the second).  Adding
-a base is not a config change: the `r == 0` branches of `canonical_associate`
-and `correspondence.canonical_disc` also assume the units of Q(i), i^k.
+A base K = Q(sqrt m) is defined by m and its fundamental unit.  It must be
+norm-Euclidean by coordinate rounding (the gcd below and the module
+reduction in `ideals` terminate) and have narrow class number one (units of
+every sign pattern exist, which forces N(eps) = -1 on a real base).  The
+registry holds Q, Q(i), Q(sqrt 2), Q(sqrt 5) and Q(sqrt 13); Q(sqrt -2) and
+Q(sqrt -3) are tested but not registered.
 
 An element is (n0 + n1*w)/den over the integral basis {1, w}, where w is
-sqrt(m) for m = -1, 2 and (1 + sqrt(m))/2 for m = 5, 13: integers n0, n1
+sqrt(m), or (1 + sqrt(m))/2 when m = 1 (mod 4): integers n0, n1
 and one positive denominator with the content removed, so equal elements
 have equal triples.  The coordinates c0, c1 are read as Fractions.  Signs
 under the real embeddings are decided by exact integer case analysis; no
@@ -40,16 +40,17 @@ def _rat_sqrt(f: Fraction) -> Fraction | None:
 
 
 class Field:
-    """A base number field K from the fixed registry.
+    """A base field K, from tag, m and unit coordinates; the rest is derived.
 
     Attributes:
         tag: registry key ("q", "q_i", "q_sqrt2", "q_sqrt5", "q_sqrt13")
         m: the square-free integer with K = Q(sqrt m), or None for Q
         half_omega: True when w = (1 + sqrt m)/2 (m = 1 mod 4)
-        r: number of real embeddings (1 for Q, 0 for Q(i), 2 otherwise)
+        r: number of real embeddings (1 for Q, 0 if imaginary, 2 otherwise)
         omega_trace, omega_norm: w satisfies w^2 = trace*w - norm
         fundamental_unit: generator of the units modulo torsion, or None
         unit_norm_sign: norm of the fundamental unit, or None
+        roots: the roots of unity, as powers of w if w is one, else (1, -1)
     """
 
     __slots__ = (
@@ -61,24 +62,23 @@ class Field:
         "omega_norm",
         "fundamental_unit",
         "unit_norm_sign",
+        "roots",
     )
 
-    def __init__(self, tag, m, half_omega, r, unit_coords, unit_norm_sign):
+    def __init__(self, tag, m, unit_coords):
         self.tag = tag
         self.m = m
-        self.half_omega = half_omega
-        self.r = r
-        if m is None:
-            self.omega_trace, self.omega_norm = 0, 0
-        elif half_omega:
-            self.omega_trace, self.omega_norm = 1, (1 - m) // 4
-        else:
-            self.omega_trace, self.omega_norm = 0, -m
-        if unit_coords is None:
-            self.fundamental_unit = None
-        else:
-            self.fundamental_unit = self(*unit_coords)
-        self.unit_norm_sign = unit_norm_sign
+        self.half_omega = m is not None and m % 4 == 1
+        self.r = 1 if m is None else 2 if m > 0 else 0
+        self.omega_trace = int(self.half_omega)
+        self.omega_norm = 0 if m is None else (1 - m) // 4 if self.half_omega else -m
+        unit = None if unit_coords is None else self(*unit_coords)
+        self.fundamental_unit = unit
+        self.unit_norm_sign = None if unit is None else int(unit.norm())
+        z = self.omega if self.r == 0 and self.omega_norm == 1 else -self.one
+        self.roots = (self.one,)
+        while self.roots[-1] * z != self.one:
+            self.roots += (self.roots[-1] * z,)
 
     @property
     def is_rational(self) -> bool:
@@ -112,11 +112,8 @@ class Field:
         pattern = tuple(pattern)
         if len(pattern) != self.r:
             raise ValueError("sign pattern has wrong length")
-        candidates = [self.one, -self.one]
-        if self.fundamental_unit is not None:
-            eps = self.fundamental_unit
-            candidates += [eps, -eps]
-        for u in candidates:
+        eps = self.fundamental_unit
+        for u in self.roots + (() if eps is None else (eps, -eps)):
             if u.signs() == pattern:
                 return u
         raise DomainError("registry invariant violated: missing sign pattern")
@@ -426,14 +423,14 @@ def _sign_a_plus_b_sqrt(a: int, b: int, m: int) -> int:
 
 REGISTRY: dict[str, Field] = {}
 
-for _tag, _m, _half, _r, _unit, _usign in [
-    ("q", None, False, 1, None, None),
-    ("q_i", -1, False, 0, None, None),
-    ("q_sqrt2", 2, False, 2, (1, 1), -1),
-    ("q_sqrt5", 5, True, 2, (0, 1), -1),
-    ("q_sqrt13", 13, True, 2, (1, 1), -1),
+for _tag, _m, _unit in [
+    ("q", None, None),
+    ("q_i", -1, None),
+    ("q_sqrt2", 2, (1, 1)),
+    ("q_sqrt5", 5, (0, 1)),
+    ("q_sqrt13", 13, (1, 1)),
 ]:
-    REGISTRY[_tag] = Field(_tag, _m, _half, _r, _unit, _usign)
+    REGISTRY[_tag] = Field(_tag, _m, _unit)
 
 Q = REGISTRY["q"]
 QI = REGISTRY["q_i"]
@@ -466,62 +463,75 @@ def registry_config() -> dict:
 # -- associates and units -----------------------------------------------------
 
 
-def _abs_emb_cmp(u: BaseElement, v: BaseElement) -> int:
-    """Compare |sigma_1(u)| with |sigma_2(v)| exactly: -1, 0 or +1.
-
-    Uses |sigma_1(u)|^2 = sigma_1(u^2) and sigma_2(x) = sigma_1(conj x).
+def _abs_emb_cmp(u, v) -> int:
+    """Compare |sigma_1(y)| with |sigma_2(z)| exactly, for u = (y, y*y) and
+    v = (z, z*z): -1, 0 or +1.  Uses |sigma_1(y)|^2 = sigma_1(y^2) and
+    sigma_2(x) = sigma_1(conj x).
     """
-    d = u * u - (v * v).conj()
+    d = u[1] - v[1].conj()
     if d.is_zero():
         return 0
     return d.sign_at(0)
+
+
+def _times(u, unit):
+    y = u[0] * unit
+    return y, y * y
 
 
 def _unit_slide(x: BaseElement, unit: BaseElement, unit_inv: BaseElement):
     """The multiples x * unit^k minimizing |sigma_1| + |sigma_2|: one, or
     two on a tie, in a fixed order.
 
-    The sum is strictly convex in k; T(y*unit) < T(y) iff
-    |sigma_1(y*unit)| < |sigma_2(y)|, so walk toward smaller sums first with
-    unit, then with unit_inv, then compare with both neighbours.
+    The sum is strictly convex in k; T(y*unit) < T(y) iff |sigma_1(y*unit)|
+    < |sigma_2(y)|, so walk toward smaller sums first with unit, then with
+    unit_inv, then compare with both neighbours, squaring each multiple once.
     """
-    y = x
-    up = y * unit
+    y = (x, x * x)
+    up = _times(y, unit)
     while _abs_emb_cmp(up, y) < 0:
-        y, up = up, up * unit
-    down = y * unit_inv
+        y, up = up, _times(up, unit)
+    down = _times(y, unit_inv)
     while _abs_emb_cmp(y, down) > 0:
-        y, up, down = down, y, down * unit_inv
-    candidates = [y]
+        y, up, down = down, y, _times(down, unit_inv)
+    candidates = [y[0]]
     if _abs_emb_cmp(up, y) == 0:
-        candidates.append(up)
+        candidates.append(up[0])
     if _abs_emb_cmp(y, down) == 0:
-        candidates.append(down)
+        candidates.append(down[0])
     return candidates
 
 
-def canonical_associate(x: BaseElement) -> BaseElement:
-    """The canonical unit multiple of x; deterministic per associate class.
+def _orbit_key(c: BaseElement):
+    """(Re sigma_1(c) <= 0, Im sigma_1(c) < 0, n0, n1): sigma_1 is the first
+    real embedding, or the complex one with Im w > 0."""
+    if c.field.r:
+        return c.sign_at(0) <= 0, False, c.n0, c.n1
+    return 2 * c.n0 + c.field.omega_trace * c.n1 <= 0, c.n1 < 0, c.n0, c.n1
 
-    Q: the absolute value.  Q(i): rotated into c0 > 0, c1 >= 0.  Real
-    quadratic: the associate minimizing |sigma_1| + |sigma_2| (strictly
-    convex along powers of the fundamental unit), sign-fixed so that
-    sigma_1 > 0, ties broken lexicographically on coordinates (associates
-    share their denominator, so on numerators).
-    """
-    f = x.field
-    if x.is_zero():
-        return x
-    if f.is_rational:
-        return x if x.n0 > 0 else -x
-    if f.r == 0:
-        while not (x.n0 > 0 and x.n1 >= 0):
-            x = x * f.omega  # w = i; one of four rotations qualifies
-        return x
-    eps = f.fundamental_unit
-    candidates = _unit_slide(x, eps, f.one / eps)
-    fixed = [c if c.sign_at(0) > 0 else -c for c in candidates]
-    return min(fixed, key=lambda c: (c.n0, c.n1))
+
+def _orbit_min(x: BaseElement, squares: bool = False) -> BaseElement:
+    """The least element of mu_K * x * eps^Z by _orbit_key; with `squares`,
+    of {z^2 : z in mu_K} * x * eps^(4Z), the orbit under the squares of the
+    totally positive units.  Only the powers of eps that _unit_slide keeps
+    compete; z * y is formed on coordinates, since the unit z keeps the
+    denominator and content of y."""
+    f, eps, slid = x.field, x.field.fundamental_unit, [x]
+    if eps is not None and not x.is_zero():
+        eps = eps ** 4 if squares else eps
+        slid = _unit_slide(x, eps, f.one / eps)
+    tr, nm = f.omega_trace, f.omega_norm
+    return min(
+        (_new(f, y.n0 * z.n0 - nm * y.n1 * z.n1,
+              y.n0 * z.n1 + y.n1 * z.n0 + tr * y.n1 * z.n1, y.den)
+         for y in slid for z in f.roots[:: 1 + squares]),
+        key=_orbit_key,
+    )
+
+
+def canonical_associate(x: BaseElement) -> BaseElement:
+    """The canonical unit multiple of x: the least of mu_K * x * eps^Z."""
+    return _orbit_min(x)
 
 
 # -- gcd, residues, fundamental elements --------------------------------------
@@ -649,7 +659,10 @@ def _factor_int(n: int) -> dict[int, int]:
     stack = [n] if n > 1 else []
     while stack:  # every factor left is at least p
         m = stack.pop()
-        if m < p * p or _is_prime(m):
+        root = isqrt(m)
+        if root * root == m:  # rho needs about root^(1/2) steps on root^2
+            stack += [root, root]
+        elif m < p * p or _is_prime(m):
             out[m] = out.get(m, 0) + 1
         else:
             f = _rho(m)
@@ -657,12 +670,32 @@ def _factor_int(n: int) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
+def _sqrt_mod(a: int, p: int) -> int | None:
+    """A square root of a modulo the odd prime p, or None (Tonelli-Shanks)."""
+    a %= p
+    if pow(a, p >> 1, p) > 1:
+        return None
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s * q, q odd
+    q = (p - 1) >> s
+    z = next(z for z in count(2) if pow(z, p >> 1, p) == p - 1)
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t > 1:  # r^2 = a*t, and t has order 2^i < 2^s
+        i = next(i for i in count(1) if pow(t, 1 << i, p) == 1)
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
 def primes_above(f: Field, ell: int) -> list[BaseElement]:
     """Generators of the prime ideals of O_K above the rational prime ell."""
     if f.is_rational:
         return [f(ell)]
     tr, nm = f.omega_trace, f.omega_norm
-    roots = [a for a in range(ell) if (a * a - tr * a + nm) % ell == 0]
+    # the roots a of a^2 - tr*a + nm mod ell, with (2a - tr)^2 = tr^2 - 4*nm
+    s = None if ell == 2 else _sqrt_mod(tr * tr - 4 * nm, ell)
+    half = (ell + 1) // 2
+    cands = range(2) if s is None else {(tr + s) * half % ell, (tr - s) * half % ell}
+    roots = sorted(a for a in cands if (a * a - tr * a + nm) % ell == 0)
     if not roots:
         return [f(ell)]  # inert
     return [gcd_k(f(ell), f.omega - f(a)) for a in roots]

@@ -11,7 +11,7 @@ positive unit} and normalize internally to a canonical fundamental D.
 
 from collections import namedtuple
 
-from .base_field import BaseElement, Field, _unit_slide, k_sqrt
+from .base_field import BaseElement, Field, _orbit_min, k_sqrt
 from .base_field import Q as _Q
 from .contfrac import fundamental_unit
 from .errors import (
@@ -33,9 +33,9 @@ def tp_unit_sqrt(field: Field, ratio: BaseElement):
     """A totally positive unit u with u^2 = ratio, or None.
 
     u is k_sqrt(ratio), negated on a real base when sigma_1(u) < 0.  Over Q
-    only ratio 1 qualifies; over Q(i) every unit is vacuously totally
-    positive, and k_sqrt(-1) = i; over a real quadratic field u must be an
-    even power of the fundamental unit, so ratio is a fourth power of it.
+    only ratio 1 qualifies; over an imaginary base every unit is vacuously
+    totally positive; over a real quadratic field u must be an even power of
+    the fundamental unit, so ratio is a fourth power of it.
     """
     u = k_sqrt(ratio)
     if u is None or not u.is_unit():
@@ -46,20 +46,10 @@ def tp_unit_sqrt(field: Field, ratio: BaseElement):
 
 
 def canonical_disc(field: Field, d: BaseElement) -> BaseElement:
-    """Canonical representative d_star of the orbit {u^2 d : u in U_K^+}.
-
-    Over Q the orbit is a point; over Q(i) it is {d, -d}; over a real
-    quadratic field it is the eps^4 orbit, minimized like associates.  The
-    unit with d = u^2 * d_star is tp_unit_sqrt(field, d / d_star).
-    """
-    if field.is_rational:
-        return d
-    if field.r == 0:
-        return d if d.n0 > 0 or (d.n0 == 0 and d.n1 > 0) else -d
-    eps4 = field.fundamental_unit ** 4
-    # N(eps^4) = 1, so its inverse is its conjugate; associates share their
-    # denominator, so the coordinate order is that of the numerators
-    return min(_unit_slide(d, eps4, eps4.conj()), key=lambda c: (c.n0, c.n1))
+    """Canonical representative d_star of the orbit {u^2 d : u in U_K^+}, the
+    least of {z^2 : z in mu_K} * d * eps^(4Z); the unit with d = u^2 * d_star
+    is tp_unit_sqrt(field, d / d_star)."""
+    return _orbit_min(d, squares=True)
 
 
 def phi(a: OrientedIdeal) -> QuadraticForm:

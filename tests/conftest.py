@@ -16,8 +16,14 @@ from qfc import (
     k_sqrt,
     psi,
 )
+from qfc.base_field import Field
 
 BASE_TAGS = ("q", "q_i", "q_sqrt2", "q_sqrt5", "q_sqrt13")
+
+# two bases outside the registry, defined by m alone: Q(sqrt -2), whose roots
+# of unity are +-1, and Q(sqrt -3), where w = zeta_6
+QM2 = Field("q_m2", -2, None)
+QM3 = Field("q_m3", -3, None)
 
 
 @pytest.fixture
@@ -90,8 +96,8 @@ def random_unimodular(f, rng, steps=3, torsion=True):
         units = [f.one, -f.one]
         if f.fundamental_unit is not None:
             units += [f.fundamental_unit]
-        if f.r == 0:
-            units += [f.omega]
+        if len(f.roots) > 2:  # i over Q(i), zeta_6 over Q(sqrt -3)
+            units += [f.roots[1]]
         u = rng.choice(units)
         p, q = u * p, u * q
     return p, q, r, s

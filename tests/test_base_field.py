@@ -1,10 +1,11 @@
 """Base-field arithmetic, embeddings, gcd, and the fundamental predicate."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from conftest import BASE_TAGS, random_int_element
+from conftest import BASE_TAGS, QM2, QM3, random_int_element
 
 from qfc import (
     NotIntegral,
@@ -352,6 +353,21 @@ class TestFactorInt:
             assert is_fundamental(Q(n)) == (n % 4 == 1)
             assert perf_counter() - start < 1.0, n
 
+    def test_prime_squares_are_fast(self):
+        from time import perf_counter
+
+        from qfc.base_field import _factor_int
+
+        # the norm of a rational d over a quadratic base is d^2, on which
+        # rho alone needs about d^(1/2) steps
+        for p in (10000000000000000381, 10000000000000000097):
+            start = perf_counter()
+            assert _factor_int(p * p) == {p: 2}
+            assert _factor_int(12 * p**2 * 1000000007**2) == {
+                2: 2, 3: 1, 1000000007: 2, p: 2
+            }
+            assert perf_counter() - start < 1.0, p
+
     def test_unprovable_cofactor_raises(self):
         from qfc import DomainError
         from qfc.base_field import _factor_int
@@ -387,3 +403,36 @@ def _is_square(d):
     from math import isqrt
 
     return d >= 0 and isqrt(d) ** 2 == d
+
+
+class TestPrimesAbove:
+    @staticmethod
+    def _scan(f, ell):
+        """primes_above by scanning every residue a < ell for a root of w's
+        minimal polynomial, ascending in a."""
+        tr, nm = f.omega_trace, f.omega_norm
+        roots = [a for a in range(ell) if (a * a - tr * a + nm) % ell == 0]
+        if not roots:
+            return [f(ell)]
+        return [gcd_k(f(ell), f.omega - f(a)) for a in roots]
+
+    def test_equals_the_scan(self):
+        from qfc.base_field import primes_above
+
+        primes = [p for p in range(2, 5000) if all(p % d for d in range(2, isqrt(p) + 1))]
+        for f in (QI, QS2, QS5, QS13, QM2, QM3):
+            for ell in primes:
+                assert primes_above(f, ell) == self._scan(f, ell), (f, ell)
+
+    def test_twenty_digit_primes_are_fast(self):
+        from time import perf_counter
+
+        from qfc.base_field import primes_above
+
+        # inert (5 mod 8) and split (1 mod 8) in Q(sqrt 2)
+        for ell, count in ((10000000000000000381, 1), (10000000000000000097, 2)):
+            start = perf_counter()
+            above = primes_above(QS2, ell)
+            assert len(above) == count
+            assert all(abs(p.norm()) == ell ** (3 - count) for p in above)
+            assert perf_counter() - start < 1.0, ell

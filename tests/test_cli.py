@@ -1,6 +1,7 @@
 """CLI surface: commands, exit codes, output determinism."""
 
 import json
+from time import perf_counter
 
 from qfc.cli import main
 
@@ -87,6 +88,15 @@ class TestCommands:
         assert code == 0 and report["fundamental"] is True
         code, report = run_json(capsys, "fundcheck", "--base", "q", "--d", "-12")
         assert code == 0 and report["fundamental"] is False
+
+    def test_fundcheck_twenty_digit_primes(self, capsys):
+        # over Q(sqrt 2) the first is inert (5 mod 8) and the second splits
+        # (1 mod 8); their primes above come from a square root mod ell
+        for d in ("10000000000000000381", "10000000000000000097"):
+            start = perf_counter()
+            code, report = run_json(capsys, "fundcheck", "--base", "q_sqrt2", "--d", d)
+            assert code == 0 and report["fundamental"] is True
+            assert perf_counter() - start < 1.0, d
 
     def test_quadratic_base(self, capsys):
         code, report = run_json(

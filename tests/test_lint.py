@@ -4,6 +4,8 @@ import ast
 import sys
 from pathlib import Path
 
+from qfc import REGISTRY
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "qfc"
 
 
@@ -70,6 +72,26 @@ def test_no_unused_imports():
             for bound, line in imported.items()
             if bound not in used
         ]
+    assert found == []
+
+
+def _reads_field_identity(node):
+    return (isinstance(node, ast.Attribute) and node.attr in ("tag", "m")) or (
+        isinstance(node, ast.Constant) and node.value in REGISTRY
+    )
+
+
+def test_no_field_specific_branches():
+    # what is particular to a base field lives in base_field.Field, which
+    # derives it from m and the unit; elsewhere no comparison reads a field's
+    # tag or m, or names a registry tag
+    found = [
+        f"{name}:{node.lineno}:{ast.unparse(node)}"
+        for name, node in _nodes()
+        if name != "base_field.py"
+        and isinstance(node, ast.Compare)
+        and any(_reads_field_identity(sub) for sub in ast.walk(node))
+    ]
     assert found == []
 
 

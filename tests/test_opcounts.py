@@ -34,12 +34,12 @@ from qfc.extension import ExtElement
 # (c0, c1).  Over the real quadratic bases disc(q2) = eps^4 * disc(q1), so
 # Psi takes a unit square root there; over Q and Q(i) the two are equal.
 CASES = [
-    ("q", ((-2, 0), (-1, 0), (-3, 0)), ((1, 0), (-3, 0), (8, 0)), 94, 5),
-    ("q_i", ((-1, 0), (-1, 1), (1, 0)), ((0, 1), (-1, -1), (1, 1)), 85, 4),
-    ("q_sqrt2", ((-3, -2), (0, 1), (-3, 2)), ((4, 3), (-10, -7), (7, 5)), 161, 5),
-    ("q_sqrt5", ((-3, 2), (-2, -1), (4, 7)), ((1, 2), (-5, -8), (5, 9)), 156, 4),
+    ("q", ((-2, 0), (-1, 0), (-3, 0)), ((1, 0), (-3, 0), (8, 0)), 88, 5),
+    ("q_i", ((-1, 0), (-1, 1), (1, 0)), ((0, 1), (-1, -1), (1, 1)), 78, 4),
+    ("q_sqrt2", ((-3, -2), (0, 1), (-3, 2)), ((4, 3), (-10, -7), (7, 5)), 129, 5),
+    ("q_sqrt5", ((-3, 2), (-2, -1), (4, 7)), ((1, 2), (-5, -8), (5, 9)), 123, 4),
     ("q_sqrt13", ((-2, 1), (-2, 1), (-1, 0)), ((-5, -4), (-17, -13), (-13, -10)),
-     160, 5),
+     129, 5),
 ]
 
 

@@ -4,7 +4,8 @@ generic one in K and L arithmetic), equivalence over real quadratic
 bases with D totally negative against the coordinate box, the box search
 over Q(i) and mixed-sign D against a reference box, the positivity
 conditions of totally negative D, square roots and canonical
-discriminants in K on every base, the integer-coordinate kernel of K
+discriminants in K on every base, canonical associates and discriminants
+against the per-field rule they replaced, the integer-coordinate kernel of K
 against Fraction pairs, with the JSON round trip of its elements, and the
 triangular ideal check and the primitivity test against their generic
 references."""
@@ -41,6 +42,7 @@ from qfc import (  # noqa: E402
     Q,
     QuadraticForm,
     Transformation,
+    canonical_associate,
     canonical_disc,
     is_fundamental,
     is_qr_mod4,
@@ -331,6 +333,7 @@ def test_positivity_conditions_agree(ext, seed):
 # -- square roots in K, on all five bases -------------------------------------
 
 BASES = list(REGISTRY.values())
+REAL_BASES = [f for f in BASES if f.r == 2]
 rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
 small = st.integers(-3, 3)
 
@@ -393,6 +396,93 @@ def test_canonical_disc_is_an_orbit_invariant(f, c0, c1, k):
     d_star = canonical_disc(f, d)
     assert canonical_disc(f, u * u * d) == d_star
     assert tp_unit_sqrt(f, d / d_star) is not None
+
+
+# -- canonical associates and discriminants against the per-field rule --------
+#
+# The rule before the one orbit rule: one branch for Q, one for Q(i) and one
+# for the real bases, with the slide squaring each element per comparison.
+
+
+def _ref_abs_emb_cmp(u, v):
+    d = u * u - (v * v).conj()
+    if d.is_zero():
+        return 0
+    return d.sign_at(0)
+
+
+def _ref_unit_slide(x, unit, unit_inv):
+    y = x
+    up = y * unit
+    while _ref_abs_emb_cmp(up, y) < 0:
+        y, up = up, up * unit
+    down = y * unit_inv
+    while _ref_abs_emb_cmp(y, down) > 0:
+        y, up, down = down, y, down * unit_inv
+    candidates = [y]
+    if _ref_abs_emb_cmp(up, y) == 0:
+        candidates.append(up)
+    if _ref_abs_emb_cmp(y, down) == 0:
+        candidates.append(down)
+    return candidates
+
+
+def _ref_canonical_associate(x):
+    f = x.field
+    if x.is_zero():
+        return x
+    if f.is_rational:
+        return x if x.n0 > 0 else -x
+    if f.r == 0:
+        while not (x.n0 > 0 and x.n1 >= 0):
+            x = x * f.omega
+        return x
+    eps = f.fundamental_unit
+    candidates = _ref_unit_slide(x, eps, f.one / eps)
+    fixed = [c if c.sign_at(0) > 0 else -c for c in candidates]
+    return min(fixed, key=lambda c: (c.n0, c.n1))
+
+
+def _ref_canonical_disc(field, d):
+    if field.is_rational:
+        return d
+    if field.r == 0:
+        return d if d.n0 > 0 or (d.n0 == 0 and d.n1 > 0) else -d
+    eps4 = field.fundamental_unit ** 4
+    return min(_ref_unit_slide(d, eps4, eps4.conj()), key=lambda c: (c.n0, c.n1))
+
+
+def _assert_reference_rule(f, x):
+    assert canonical_associate(x) == _ref_canonical_associate(x)
+    assert canonical_disc(f, x) == _ref_canonical_disc(f, x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(BASES), rationals, rationals)
+def test_orbit_rule_equals_the_per_field_rule(f, c0, c1):
+    _assert_reference_rule(f, _element(f, c0, c1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(REAL_BASES), rationals, st.booleans(), st.integers(-3, 3))
+def test_orbit_rule_on_ties(f, c, root_m, k):
+    # x and x * eps^4 have equal |sigma_1| + |sigma_2| when x is c * eps^-2
+    # or c * sqrt(m) * eps^-2 (c rational), so the eps^4 slide of
+    # canonical_disc keeps two minimizers; the eps slide of
+    # canonical_associate never ties, as that needs x^2 = c * eps^-1 with
+    # N(x^2) = -c^2
+    eps = f.fundamental_unit
+    x = c * (2 * f.omega - f.omega_trace if root_m else f.one) * eps ** (4 * k - 2)
+    if x.is_zero():
+        return
+    eps4 = eps ** 4
+    assert len(_ref_unit_slide(x, eps4, eps4.conj())) == 2
+    _assert_reference_rule(f, x)
+
+
+def test_orbit_rule_on_zero():
+    for f in BASES:
+        _assert_reference_rule(f, f.zero)
 
 
 # -- the integer-coordinate kernel against Fraction pairs, on all five bases --
