@@ -46,6 +46,7 @@ from .errors import (
     NotIntegral,
     NotPrimitive,
     OrientationMismatch,
+    OutputTooLarge,
     ParseError,
     RankDeficient,
     SquareInput,

@@ -122,10 +122,11 @@ class Field:
         return f"Field({self.tag})"
 
     def __eq__(self, other):
-        return isinstance(other, Field) and other.tag == self.tag
+        # m determines the field; the tag only names it
+        return isinstance(other, Field) and other.m == self.m
 
     def __hash__(self):
-        return hash(self.tag)
+        return hash(self.m)
 
 
 class BaseElement:
@@ -645,9 +646,33 @@ def _rho(n: int) -> int:
             return g
 
 
+def _iroot(m: int, k: int) -> int:
+    """floor(m^(1/k)) for m >= 1, by integer Newton steps from above."""
+    x = 1 << -(-m.bit_length() // k)  # 2^ceil(bits/k) > m^(1/k)
+    while True:
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_power(m: int, least: int):
+    """(root, k) with root^k = m for the least k >= 2, or None, when every
+    prime factor of m is at least `least`: k runs from 2 up to log2 m and
+    stops once the k-th root falls below `least`."""
+    for k in range(2, m.bit_length() + 1):
+        root = _iroot(m, k)
+        if root < least:
+            return None
+        if root ** k == m:
+            return root, k
+    return None
+
+
 def _factor_int(n: int) -> dict[int, int]:
     """{prime: exponent} of |n|, primes ascending: trial division below
-    1000, then Miller-Rabin and Pollard-Brent rho on the cofactor."""
+    1000, then, on the cofactor, exact k-th roots, Miller-Rabin and
+    Pollard-Brent rho."""
     n = abs(n)
     out: dict[int, int] = {}
     p = 2
@@ -659,10 +684,13 @@ def _factor_int(n: int) -> dict[int, int]:
     stack = [n] if n > 1 else []
     while stack:  # every factor left is at least p
         m = stack.pop()
-        root = isqrt(m)
-        if root * root == m:  # rho needs about root^(1/2) steps on root^2
-            stack += [root, root]
-        elif m < p * p or _is_prime(m):
+        if m < p * p:
+            out[m] = out.get(m, 0) + 1
+            continue
+        power = _perfect_power(m, p)
+        if power is not None:  # rho needs about root^(1/2) steps on root^k
+            stack += [power[0]] * power[1]
+        elif _is_prime(m):
             out[m] = out.get(m, 0) + 1
         else:
             f = _rho(m)

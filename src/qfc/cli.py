@@ -1,7 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 parse error, 2 domain error.  Reports go to
-stdout; the json format is canonical (sorted keys, compact).
+Exit codes: 0 success, 1 parse error, 2 domain error, among them
+output_too_large for a result past Python's int-to-text limit.  Reports go
+to stdout; the json format is canonical (sorted keys, compact).
 """
 
 import argparse

@@ -83,6 +83,13 @@ class OrientationMismatch(DomainError):
     code = "orientation_mismatch"
 
 
+class OutputTooLarge(DomainError):
+    """A result holds an integer past Python's limit on int-to-text
+    conversion (sys.get_int_max_str_digits()), so it cannot be printed."""
+
+    code = "output_too_large"
+
+
 class ParseError(Exception):
     """Malformed CLI or JSON input."""
 

@@ -72,20 +72,23 @@ class Extension:
         )
 
     def __hash__(self):
-        return hash((self.base.tag, self.d, self.w))
+        return hash((self.base.m, self.d))
 
     def __repr__(self):
         return f"Extension({self.base.tag}, D={self.d})"
 
 
-# make_extension's results by (base tag, n0, n1, den of d); emptied when full
+# make_extension's results by (m of the base, n0, n1, den of d); emptied
+# when full
 _EXTENSIONS: dict = {}
 _EXTENSIONS_CAP = 256
 
 
 def make_extension(base: Field, d) -> Extension:
     """The extension descriptor for a fundamental d, one instance per
-    (base, d) while it stays in a bounded table.
+    (m, d) while it stays in a bounded table; a second Field object of the
+    same m replaces the entry, since elements check their field by
+    identity.
 
     w is sqrt_mod4(d): the smallest residue mod 2 (by |norm|, then
     lexicographically on coordinates) with w^2 = d (mod 4); this makes the
@@ -95,9 +98,9 @@ def make_extension(base: Field, d) -> Extension:
         d = base(d)
     if d.field is not base:
         raise ValueError("d from a different base field")
-    key = (base.tag, d.n0, d.n1, d.den)
+    key = (base.m, d.n0, d.n1, d.den)
     ext = _EXTENSIONS.get(key)
-    if ext is not None:
+    if ext is not None and ext.base is base:
         return ext
     if not is_fundamental(d):
         raise NotFundamental(f"{d} is not fundamental over {base.tag}")

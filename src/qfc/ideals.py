@@ -7,15 +7,22 @@ module with a sign vector in {+-1}^r; multiplication reduces the four
 pairwise products back to a two-element basis by a Hermite-style
 triangularization over the (norm-Euclidean) base ring, then unit-adjusts
 the basis so its orientation matches the sign vector.
+
+Equivalence over Q and over a real quadratic base with D totally negative
+runs on integers: over Q on the Phi-images of the aligned ideals, over the
+real bases on J * I^-1 as a Z-lattice over (1, omega, W, omega*W), reduced
+by an integer Hermite normal form and searched by LLL and Fincke-Pohst on
+the integer Gram matrix of 2 Tr_{K/Q} N_{L/K}.  In both, the witness gamma
+is the only element of L built, and it is verified before it is returned.
 """
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
-from .base_field import BaseElement, _gcd_core, _unit_slide, canonical_associate
+from .base_field import BaseElement, _elem, _gcd_core, canonical_associate
 from .errors import (
     DegenerateBasis,
     DomainError,
@@ -26,7 +33,7 @@ from .errors import (
 )
 from .extension import ExtElement, Extension
 from .forms import _proper_matrix
-from .lattice import lll_gram, short_vectors
+from .lattice import hnf, lll_gram, short_vectors
 
 
 class IdealBasis:
@@ -313,51 +320,160 @@ def _coordinate_box(base, bound: int):
                 yield base(head[0], head[1]), base(head[2], last)
 
 
-def _trace_gram(module: IdealBasis):
-    """(G, den): den * Tr_{K/Q}(N_{L/K}(gamma)) = v^T G v, with G an
-    integer matrix, for gamma = v0*alpha + v1*w*alpha + v2*beta + v3*w*beta
-    in the module [alpha, beta] over a quadratic K = Q(w).
-
-    Polarising N(sum v_i e_i) = sum v_i v_j e_i conj(e_j) gives the trace
-    of the rational part of e_i conj(e_j).  Positive definite when D is
-    totally negative.
-    """
-    ext = module.ext
-    w = ext.base.omega
-    basis = (module.alpha, module.alpha * w, module.beta, module.beta * w)
-    gram = [[(u.x * v.x - u.y * v.y * ext.d).trace() for v in basis] for u in basis]
-    den = lcm(*(g.denominator for row in gram for g in row))
-    return [[g.numerator * (den // g.denominator) for g in row] for row in gram], den
+def _k_mul(f, p, q):
+    """The product of p = p0 + p1*omega and q in O_K, on integer pairs."""
+    cross = p[1] * q[1]
+    return (p[0] * q[0] - f.omega_norm * cross,
+            p[0] * q[1] + p[1] * q[0] + f.omega_trace * cross)
 
 
-def _cm_generator(module: IdealBasis):
-    """A generator of `module`, or None when it is not principal; for K
-    real quadratic and D totally negative.
+def _l_mul(f, w, z, x, y):
+    """The product of x = s + t*W and y = u + v*W in O_L, with s, t, u, v
+    integer pairs over (1, omega): by W^2 = -w*W - z it is
+    (s*u - z*t*v) + (s*v + t*u - w*t*v)*W."""
+    (s, t), (u, v) = x, y
+    su, tv, sv, tu = _k_mul(f, s, u), _k_mul(f, t, v), _k_mul(f, s, v), _k_mul(f, t, u)
+    ztv, wtv = _k_mul(f, z, tv), _k_mul(f, w, tv)
+    return ((su[0] - ztv[0], su[1] - ztv[1]),
+            (sv[0] + tu[0] - wtv[0], sv[1] + tu[1] - wtv[1]))
+
+
+def _l_conj(f, w, x):
+    """conj(s + t*W) = (s - w*t) - t*W, since W + conj W = -w."""
+    (s, t), wt = x, _k_mul(f, w, x[1])
+    return (s[0] - wt[0], s[1] - wt[1]), (-t[0], -t[1])
+
+
+def _l_norm(f, w, z, s, t) -> int:
+    """N_{L/Q}(s + t*W) for integer pairs s, t: N_{L/K}(s + t*W) =
+    s^2 - w*s*t + z*t^2, since W + conj W = -w and W conj W = z."""
+    ss, st, tt = _k_mul(f, s, s), _k_mul(f, s, t), _k_mul(f, t, t)
+    wst, ztt = _k_mul(f, w, st), _k_mul(f, z, tt)
+    n0, n1 = ss[0] - wst[0] + ztt[0], ss[1] - wst[1] + ztt[1]
+    return n0 * n0 + f.omega_trace * n0 * n1 + f.omega_norm * n1 * n1
+
+
+@lru_cache(maxsize=256)
+def _cm_constants(ext: Extension):
+    """Integer data of L/K for the CM search, once per extension: w and z,
+    eps^2 and eps^-2 = conj(eps^2) as pairs over (1, omega), and G0, the
+    Gram matrix of 2 Tr_{K/Q}(N_{L/K}) on the Z-basis (1, omega, W, omega*W)
+    of O_L, whose (i, j) entry is Tr_{K/Q} Tr_{L/K}(e_i conj(e_j))."""
+    f = ext.base
+    w, z = (ext.w.n0, ext.w.n1), (ext.z.n0, ext.z.n1)
+    eps = (f.fundamental_unit.n0, f.fundamental_unit.n1)
+    e2 = _k_mul(f, eps, eps)
+    basis = [((1, 0), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (1, 0)), ((0, 0), (0, 1))]
+    g0 = []
+    for x in basis:
+        row = []
+        for y in basis:
+            # Tr_{L/K}(s + t*W) = 2s - w*t; Tr_{K/Q}(p0 + p1*omega) = 2p0 + T(omega)p1
+            s, t = _l_mul(f, w, z, x, _l_conj(f, w, y))
+            wt = _k_mul(f, w, t)
+            row.append(2 * (2 * s[0] - wt[0]) + f.omega_trace * (2 * s[1] - wt[1]))
+        g0.append(tuple(row))
+    # tuples: every caller shares the memoised result
+    return w, z, (e2, (e2[0] + f.omega_trace * e2[1], -e2[1])), tuple(g0)
+
+
+def _basis_ints(basis: IdealBasis, w):
+    """(den, [alpha, beta]): den times each basis element as s + t*W with
+    integer pairs s, t over (1, omega), by sqrt D = 2W + w."""
+    f = basis.ext.base
+    coords = (basis.alpha.x, basis.alpha.y, basis.beta.x, basis.beta.y)
+    den = lcm(*(c.den for c in coords))
+    ax, ay, bx, by = ((c.n0 * (den // c.den), c.n1 * (den // c.den)) for c in coords)
+    out = []
+    for x, y in ((ax, ay), (bx, by)):
+        wy = _k_mul(f, w, y)
+        out.append(((x[0] + wy[0], x[1] + wy[1]), (2 * y[0], 2 * y[1])))
+    return den, out
+
+
+def _cm_lattice(a: OrientedIdeal, b: OrientedIdeal):
+    """(rows, den): J * I^-1 as a Z-lattice in Hermite normal form, each row
+    the integer coordinates over (1, omega, W, omega*W) of den times a basis
+    element.  J * I^-1 = J * conj(I) / det M(I) is spanned over O_K by the
+    four products of alpha_J, beta_J with conj(alpha_I)/det, -conj(beta_I)/det,
+    so over Z by those and omega times each."""
+    f = a.ext.base
+    w, z = _cm_constants(a.ext)[:2]
+    dj, jb = _basis_ints(b.basis, w)
+    di, (ia, ib) = _basis_ints(a.basis, w)
+    det = a.basis.det_m()
+    # 1/det = den(det) * conj(n0 + n1*omega) / N(n0 + n1*omega)
+    nrm = det._norm_num()
+    scale = det.den if nrm > 0 else -det.den
+    inv = (scale * (det.n0 + f.omega_trace * det.n1), -scale * det.n1)
+    inverse = [
+        tuple(_k_mul(f, u, c) for c in _l_conj(f, w, x))
+        for x, u in ((ia, inv), (ib, (-inv[0], -inv[1])))
+    ]
+    rows = []
+    for x in jb:
+        for y in inverse:
+            s, t = _l_mul(f, w, z, x, y)
+            rows.append([*s, *t])
+            rows.append([*_k_mul(f, (0, 1), s), *_k_mul(f, (0, 1), t)])
+    rows = hnf(rows)
+    den = dj * di * abs(nrm)
+    g = gcd(den, *(v for row in rows for v in row))
+    return [[v // g for v in row] for row in rows], den // g
+
+
+def _cm_gram(ext: Extension, rows):
+    """M G0 M^T for the rows M of `_cm_lattice`: v^T gram v =
+    2 den^2 Tr_{K/Q}(N_{L/K}(gamma)) for gamma = sum_i v_i row_i / den."""
+    g0 = _cm_constants(ext)[3]
+    mg = [[sum(r[k] * g0[k][j] for k in range(4)) for j in range(4)] for r in rows]
+    gram = [[0] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i, 4):
+            gram[i][j] = gram[j][i] = sum(u * v for u, v in zip(mg[i], rows[j]))
+    return gram
+
+
+def _cm_gamma(a: OrientedIdeal, b: OrientedIdeal):
+    """A generator of J * I^-1, or None when it is not principal; for K
+    real quadratic and D totally negative, in integers up to the element
+    returned.
 
     L is then a CM field, so Tr_{K/Q}(N_{L/K}(gamma)) is a positive
-    definite quadratic form (`_trace_gram`).  A generator has norm n*u for
-    n = det M and a unit u, and n*u is totally positive.  With n* = n times
-    the unit of the signs of n, the totally positive associates of n are
-    n* eps^(2k), so sliding by eps^2 gives the least trace C among them, and
-    some unit of K scales a generator to trace exactly C.  No element of
-    trace below C generates the module, so enumerating up to C after LLL
-    is complete; of the vectors at C, those whose norm is n times a unit
+    definite quadratic form on the lattice (`_cm_gram`).  A generator has
+    norm n0*u for n0 = det M(J) / det M(I) and a unit u, and n0*u is
+    totally positive.  With n* = n0 times the unit of the signs of n0, the
+    totally positive associates of n0 are n* eps^(2k), so sliding by eps^2
+    gives the least trace C among them, and some unit of K scales a
+    generator to trace exactly C.  No element of trace below C generates
+    the lattice, so enumerating up to C after LLL is complete; of the
+    vectors at C, those with |N_{L/Q}| equal to the index of the lattice
     are the generators.
     """
-    f = module.ext.base
-    n0 = module.det_m()
-    eps2 = f.fundamental_unit * f.fundamental_unit
-    n_star = _unit_slide(n0 * f.unit_with_signs(n0.signs()), eps2, f.one / eps2)[0]
-    gram, den = _trace_gram(module)
-    reduced, h = lll_gram(gram)
-    bound = n_star.trace() * den
+    ext = a.ext
+    f = ext.base
+    w, z, (e2, e2_inv), _ = _cm_constants(ext)
+    n0 = b.basis.det_m() / a.basis.det_m()
+    n = n0 * f.unit_with_signs(n0.signs())
+    p = (n.n0, n.n1)
+    for e in (e2, e2_inv):  # the trace is convex along p * eps^(2k)
+        q = _k_mul(f, p, e)
+        while 2 * q[0] + f.omega_trace * q[1] < 2 * p[0] + f.omega_trace * p[1]:
+            p, q = q, _k_mul(f, q, e)
+    rows, den = _cm_lattice(a, b)
+    bound, rest = divmod(2 * den * den * (2 * p[0] + f.omega_trace * p[1]), n.den)
+    if rest:  # 2 den^2 Tr N(gamma) is an integer for every gamma of the lattice
+        return None
+    index = rows[0][0] * rows[1][1] * rows[2][2] * rows[3][3]
+    reduced, h = lll_gram(_cm_gram(ext, rows))
     for x, value in short_vectors(reduced, bound):
         if value != bound:
             continue
         v = [sum(hij * xj for hij, xj in zip(row, x)) for row in h]
-        gamma = module.alpha * f(v[0], v[1]) + module.beta * f(v[2], v[3])
-        if (gamma.norm() / n0).is_unit():
-            return gamma
+        c = [sum(vi * row[k] for vi, row in zip(v, rows)) for k in range(4)]
+        if abs(_l_norm(f, w, z, (c[0], c[1]), (c[2], c[3]))) == index:
+            s, t = _elem(f, c[0], c[1], den), _elem(f, c[2], c[3], den)
+            return ext.from_module_coords(s, t)
     return None
 
 
@@ -419,7 +535,9 @@ def oriented_equivalent(
     - over a real quadratic base with D totally negative, a generator of
       J * I^{-1} is sought by LLL and Fincke-Pohst enumeration of
       Tr_{K/Q} N_{L/K} up to the least trace of a totally positive
-      associate of its norm.
+      associate of its norm; the lattice, its Gram matrix, the bound and
+      the norm test of each candidate run on integers (`_cm_gamma`), and
+      gamma is checked by `witness_ok`.
     Over Q(i), and over a real quadratic base with D of mixed signs, the
     witness search runs over coordinate boxes up to `search_bound` and may
     return unknown.  The box grows like (2k+1)^4, so large bounds get
@@ -444,7 +562,7 @@ def oriented_equivalent(
         gamma = _q_generator(a, b, target[0])
         return EquivalenceResult(NOT_EQUIVALENT if gamma is None else EQUIVALENT, gamma)
     if base.r == 2 and ext.totally_negative_d():
-        gamma = _cm_generator(_quotient_module(a, b))
+        gamma = _cm_gamma(a, b)
     else:
         quotient = _quotient_module(a, b)
         n0 = quotient.det_m()

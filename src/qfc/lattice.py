@@ -4,14 +4,28 @@ A lattice is given by the Gram matrix of a basis: a symmetric positive
 definite matrix of integers, as a list of rows.  `lll_gram` is the integral
 LLL algorithm (Cohen, A Course in Computational Algebraic Number Theory,
 Alg. 2.6.7; Lenstra, Lenstra & Lovasz, Math. Ann. 261, 1982), which keeps
-the Gram-Schmidt data as integers and updates it at each step.
-`short_vectors` is the Fincke-Pohst enumeration on the LDL^T form (Cohen
-section 2.7.3; Fincke & Pohst, Math. Comp. 44, 1985).  Everything is
-integer or Fraction arithmetic: no floating point and no square root.
+the Gram-Schmidt data d (leading minors) and lam (d times the Gram-Schmidt
+coefficients) as integers and updates them at each step.  `short_vectors`
+is the Fincke-Pohst enumeration (Cohen section 2.7.3; Fincke & Pohst, Math.
+Comp. 44, 1985) on the same integral data, and `hnf` reduces integer
+generators of a lattice to a basis.  Everything is integer arithmetic: no
+fractions, no floating point and no square root.
 """
 
-from fractions import Fraction
-from math import floor
+
+def _gram_schmidt_row(a, d, lam, k):
+    """Set lam[k][j] for j < k and d[k + 1] from row k of the Gram matrix a
+    and the data of the rows before it (Cohen Alg. 2.6.7, step 2)."""
+    for j in range(k + 1):
+        u = a[k][j]
+        for i in range(j):
+            u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+        if j < k:
+            lam[k][j] = u
+        elif u <= 0:
+            raise ValueError("Gram matrix is not positive definite")
+        else:
+            d[k + 1] = u
 
 
 def lll_gram(gram):
@@ -61,18 +75,8 @@ def lll_gram(gram):
     k, kmax = 0, -1
     while k < n:
         if k > kmax:
-            # incremental Gram-Schmidt for the new vector b_k
             kmax = k
-            for j in range(k + 1):
-                u = a[k][j]
-                for i in range(j):
-                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-                if j < k:
-                    lam[k][j] = u
-                elif u <= 0:
-                    raise ValueError("Gram matrix is not positive definite")
-                else:
-                    d[k + 1] = u
+            _gram_schmidt_row(a, d, lam, k)
         if k == 0:
             k = 1
             continue
@@ -88,60 +92,89 @@ def lll_gram(gram):
     return a, h
 
 
-def _ldl(gram):
-    """Coefficients q with x^T gram x = sum_i q[i][i] (x_i + sum_{j>i}
-    q[i][j] x_j)^2 (Cohen Alg. 2.7.6)."""
-    n = len(gram)
-    q = [[Fraction(v) for v in row] for row in gram]
-    for i in range(n):
-        if q[i][i] <= 0:
-            raise ValueError("Gram matrix is not positive definite")
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] -= q[k][i] * q[i][l]
-    return q
-
-
-def _outward(centre, diag, budget):
-    """The integers x with diag * (x - centre)^2 <= budget, nearest to
-    centre first, each with budget - diag * (x - centre)^2."""
-    lo = floor(centre)
+def _outward(step, shift, weight, budget):
+    """The integers x with weight * (step*x + shift)^2 <= budget, for
+    step > 0, nearest to the centre -shift/step first (the lower one on a
+    tie), each with budget - weight * (step*x + shift)^2."""
+    lo = -shift // step
     hi = lo + 1
-    lo_rest = budget - diag * (lo - centre) ** 2
-    hi_rest = budget - diag * (hi - centre) ** 2
+    lo_rest = budget - weight * (step * lo + shift) ** 2
+    hi_rest = budget - weight * (step * hi + shift) ** 2
     while lo_rest >= 0 or hi_rest >= 0:
         if lo_rest >= hi_rest:
             yield lo, lo_rest
             lo -= 1
-            lo_rest = budget - diag * (lo - centre) ** 2
+            lo_rest = budget - weight * (step * lo + shift) ** 2
         else:
             yield hi, hi_rest
             hi += 1
-            hi_rest = budget - diag * (hi - centre) ** 2
+            hi_rest = budget - weight * (step * hi + shift) ** 2
 
 
 def short_vectors(gram, bound):
-    """Every nonzero integer vector x with x^T gram x <= bound, as pairs
-    (x, x^T gram x).
+    """Every nonzero integer vector x with x^T gram x <= bound, for an
+    integer bound, as pairs (x, x^T gram x).
 
-    Fincke-Pohst: the last coordinate is fixed first, and each coordinate
-    walks outward from the centre the later ones give it while its term
-    fits the budget they leave.  The walk is short when gram is reduced.
+    Fincke-Pohst on the integral Gram-Schmidt data: with y_i = x_i +
+    sum_{k>i} mu[k][i] x_k, the form is sum_i B_i y_i^2 and B_i y_i^2 =
+    (d[i+1] x_i + S_i)^2 / (d[i] d[i+1]) with S_i = sum_{k>i} lam[k][i] x_k.
+    Scaled by P = prod_i d[i] d[i+1], every term and every budget is an
+    integer.  The last coordinate is fixed first, and each coordinate walks
+    outward from the centre -S_i / d[i+1] while its term fits the budget
+    the later ones leave.  The walk is short when gram is reduced.
     """
-    q = _ldl(gram)
-    n = len(q)
+    n = len(gram)
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        _gram_schmidt_row(gram, d, lam, k)
+    scale = 1
+    for i in range(n):
+        scale *= d[i] * d[i + 1]
+    weight = [scale // (d[i] * d[i + 1]) for i in range(n)]
     x = [0] * n
 
     def walk(i, budget):
-        centre = -sum(q[i][j] * x[j] for j in range(i + 1, n))
-        for xi, rest in _outward(centre, q[i][i], budget):
+        shift = sum(lam[k][i] * x[k] for k in range(i + 1, n))
+        for xi, rest in _outward(d[i + 1], shift, weight[i], budget):
             x[i] = xi
             if i:
                 yield from walk(i - 1, rest)
             elif any(x):
-                yield tuple(x), bound - rest
+                yield tuple(x), bound - rest // scale
 
-    yield from walk(n - 1, Fraction(bound))
+    yield from walk(n - 1, bound * scale)
+
+
+def hnf(rows):
+    """The Hermite normal form of the lattice the integer rows span: an
+    upper triangular basis with positive pivots and each entry above a
+    pivot reduced into [0, pivot).  ValueError unless the rows have full
+    rank in their length.
+    """
+    n = len(rows[0])
+    rows = [list(r) for r in rows]
+    basis = []
+    for col in range(n):
+        # Euclid on the rows, by their entries in this column
+        live = [r for r in rows if r[col]]
+        rows = [r for r in rows if not r[col]]
+        while len(live) > 1:
+            pivot = min(live, key=lambda r: abs(r[col]))
+            rest = []
+            for r in live:
+                if r is not pivot:
+                    q = r[col] // pivot[col]
+                    r = [u - q * v for u, v in zip(r, pivot)]
+                    (rest if r[col] else rows).append(r)
+            live = rest + [pivot]
+        if not live:
+            raise ValueError("the rows do not have full rank")
+        pivot = live[0]
+        if pivot[col] < 0:
+            pivot = [-v for v in pivot]
+        for r in basis:
+            q = r[col] // pivot[col]
+            r[:] = [u - q * v for u, v in zip(r, pivot)]
+        basis.append(pivot)
+    return basis

@@ -10,17 +10,28 @@ CLI text syntax for forms is "a,b,c" where each coordinate uses the
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .base_field import BaseElement, Field
-from .errors import ParseError
+from .errors import OutputTooLarge, ParseError
 from .extension import Extension, ExtElement
 from .forms import QuadraticForm
 from .ideals import IdealBasis, OrientedIdeal
 
 
+def _too_large() -> OutputTooLarge:
+    """The error for an int-to-text conversion refused by Python's limit,
+    the only ValueError that str() of a Fraction raises."""
+    limit = sys.get_int_max_str_digits()
+    return OutputTooLarge(f"the result has an integer of more than {limit} digits")
+
+
 def rational_to_str(f: Fraction) -> str:
-    return str(f)
+    try:
+        return str(f)
+    except ValueError as exc:
+        raise _too_large() from exc
 
 
 def rational_from_str(s: str) -> Fraction:
@@ -163,4 +174,7 @@ def parse_form_text(f: Field, text: str) -> QuadraticForm:
 
 
 def form_to_text(q: QuadraticForm) -> str:
-    return ",".join(repr(v) for v in (q.a, q.b, q.c))
+    try:
+        return ",".join(repr(v) for v in (q.a, q.b, q.c))
+    except ValueError as exc:
+        raise _too_large() from exc

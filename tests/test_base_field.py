@@ -298,8 +298,8 @@ class TestFundamental:
 
 
 class TestFactorInt:
-    """`_factor_int`: trial division below 1000, then Miller-Rabin and
-    Pollard-Brent rho on the cofactor."""
+    """`_factor_int`: trial division below 1000, then exact k-th roots,
+    Miller-Rabin and Pollard-Brent rho on the cofactor."""
 
     def test_against_trial_division(self):
         from qfc.base_field import _factor_int
@@ -367,6 +367,19 @@ class TestFactorInt:
                 2: 2, 3: 1, 1000000007: 2, p: 2
             }
             assert perf_counter() - start < 1.0, p
+
+    def test_perfect_powers(self):
+        from qfc.base_field import _factor_int
+
+        # a k-th root is taken before rho, which needs about p^(1/2) steps
+        # on p^k; the exponents 6 and 10 take a square root first
+        p, q = 10**19 + 381, 10000000000000000097
+        assert _factor_int(p**3) == {p: 3}
+        assert _factor_int(-(p**3)) == {p: 3}
+        assert _factor_int(p**6) == {p: 6}
+        assert _factor_int(8 * 1009**5 * q**10) == {2: 3, 1009: 5, q: 10}
+        assert _factor_int((1000003 * p) ** 3) == {1000003: 3, p: 3}
+        assert _factor_int(1009**7 * 1013**7) == {1009: 7, 1013: 7}
 
     def test_unprovable_cofactor_raises(self):
         from qfc import DomainError

@@ -198,3 +198,22 @@ class TestCorrespondence:
                 scaled = QuadraticForm(f, q.a * z, q.b * z, q.c * z)
                 assert psi(scaled).ext is psi(q).ext
                 assert compose(scaled, q) == compose(q, scaled)
+
+
+def test_fields_are_told_apart_by_m():
+    # one tag for two fields: they differ, and so do their extensions of
+    # one D; a field of a registry m equals the registered one, and gets an
+    # extension of its own, since elements check their field by identity
+    from qfc import REGISTRY
+    from qfc.base_field import Field
+
+    f2, f3 = Field("t", -2, None), Field("t", -3, None)
+    assert f2 != f3 and hash(f2) != hash(f3)
+    e2, e3 = make_extension(f2, f2(5)), make_extension(f3, f3(5))
+    assert (e2.base, e3.base) == (f2, f3)
+    assert e2.base is f2 and e3.base is f3
+    assert e2 != e3 and e2 is make_extension(f2, f2(5))
+    assert e3.element(f3(1, 1)).x.field is f3
+    twin = Field("twin", 2, (1, 1))
+    assert twin == REGISTRY["q_sqrt2"] and hash(twin) == hash(REGISTRY["q_sqrt2"])
+    assert make_extension(twin, twin(5)).base is twin

@@ -3,6 +3,8 @@
 import json
 from time import perf_counter
 
+import pytest
+
 from qfc.cli import main
 
 
@@ -194,6 +196,37 @@ class TestExitCodes:
         code, out = run_cli(capsys, "classtable", "--base", "q", "--d=-47/2")
         assert code == 2
         assert json.loads(out)["error"] == "not_integral"
+
+    def test_output_past_the_int_print_limit(self, capsys):
+        # the ideal of Psi(2, 1, 3) at D = -23 in the basis [alpha + k beta,
+        # beta]: its form is correct but has integers of about 6,000 digits,
+        # past sys.get_int_max_str_digits(), which str() refuses
+        from qfc import IdealBasis, OrientedIdeal, Q, QuadraticForm, phi, psi
+        from qfc import OutputTooLarge, make_extension, serialize
+
+        a = psi(QuadraticForm(Q, 2, 1, 3), make_extension(Q, -23))
+        k = 10**3000 + 1
+        basis = IdealBasis(a.basis.alpha + k * a.basis.beta, a.basis.beta)
+        ideal = OrientedIdeal(basis, a.eps)
+        blob = json.dumps(serialize.ideal_to_json(ideal))
+        for fmt in ("json", "text"):
+            code, out = run_cli(
+                capsys, "phi", "--base=q", "--d=-23", "--ideal", blob, "--format", fmt
+            )
+            assert code == 2
+            assert json.loads(out)["error"] == "output_too_large"
+        q = phi(ideal.align())
+        for encode in (serialize.form_to_json, serialize.form_to_text):
+            with pytest.raises(OutputTooLarge):
+                encode(q)
+
+    def test_fundcheck_prime_cube(self, capsys):
+        # p^3 is divided by p^2, so it is not fundamental; rho alone would
+        # need about p^(1/2) steps to split it
+        code, report = run_json(
+            capsys, "fundcheck", "--base", "q", "--d", str((10**19 + 381) ** 3)
+        )
+        assert code == 0 and report["fundamental"] is False
 
 
 class TestErrorContract:

@@ -1,12 +1,13 @@
-"""Operation-count guards for composition and for equivalence over Q.
+"""Operation-count guards for composition and for equivalence over Q and
+over the real quadratic bases with D totally negative.
 
 One `compose` of a fixed pair of forms per base, and one
-`oriented_equivalent` of a fixed pair of ideals over Q, is counted in
-products of K (`BaseElement.__mul__`) and of L (`ExtElement.__mul__`),
-through counting wrappers.  The counts are deterministic, so a redundant
-check re-added to either path shows here without timing anything.  The
-bounds are the counts of the current code; lower them when the path gets
-cheaper.
+`oriented_equivalent` of a fixed pair of ideals over Q or over Q(sqrt 2),
+Q(sqrt 5) and Q(sqrt 13), is counted in products of K
+(`BaseElement.__mul__`) and of L (`ExtElement.__mul__`), through counting
+wrappers.  The counts are deterministic, so a redundant check re-added to
+any of these paths shows here without timing anything.  The bounds are the
+counts of the current code; lower them when the path gets cheaper.
 """
 
 from collections import Counter
@@ -101,3 +102,46 @@ def test_oriented_equivalent_q_product_counts(monkeypatch, pair):
     assert oriented_equivalent(a, b).status == status
     assert counts["K"] <= 2
     assert counts["L"] <= 1
+
+
+# (base, D, form of a, form of b or None for a itself, scale b by x + y*sqrt D
+# with x, y as coordinate pairs, status, K-product bound, L-product bound):
+# per base one far multiplier and one pair of distinct classes of one
+# orientation.  The CM path runs on integers except for one K-product (the
+# norm of J * I^-1 times the unit of its signs) and for gamma, which it
+# builds and checks with `witness_ok`: two L-products, gamma*alpha and
+# gamma*beta, and the K-products under them.
+CM_PAIRS = [
+    ("q_sqrt2", (-2, 0), ((-2, 1), (2, -1), (-1, 0)), None,
+     ((1234, -777), (555, 901)), EQUIVALENT, 25, 2),
+    ("q_sqrt2", (-13, -6), ((-2, -2), (-1, -1), (0, -1)), ((-2, -2), (1, 1), (0, -1)),
+     ((1, 0), (0, 0)), NOT_EQUIVALENT, 1, 0),
+    ("q_sqrt5", (-4, 0), ((1, 0), (0, 0), (1, 0)), None,
+     ((31415926535897, -27182818284590), (16180339887498, 14142135623730)),
+     EQUIVALENT, 25, 2),
+    ("q_sqrt5", (-11, 0), ((-2, -2), (-1, -2), (-3, 1)), ((-2, 1), (-1, -2), (-6, -8)),
+     ((1, 0), (0, 0)), NOT_EQUIVALENT, 1, 0),
+    ("q_sqrt13", (-3, 0), ((1, 0), (-1, 0), (1, 0)), None,
+     ((9, 7), (5, 8)), EQUIVALENT, 25, 2),
+    ("q_sqrt13", (-3, 0), ((1, 0), (-1, 0), (1, 0)), ((14, 3), (-27, -12), (15, 9)),
+     ((1, 0), (0, 0)), NOT_EQUIVALENT, 1, 0),
+]
+
+CM_IDS = [f"{p[0]}_{'far' if p[3] is None else 'distinct'}" for p in CM_PAIRS]
+
+
+@pytest.mark.parametrize("pair", CM_PAIRS, ids=CM_IDS)
+def test_oriented_equivalent_cm_product_counts(monkeypatch, pair):
+    tag, d, fa, fb, (x, y), status, k_bound, l_bound = pair
+    f = field(tag)
+    ext = make_extension(f, f(*d))
+    a = psi(_form(f, fa), ext)
+    b = a if fb is None else psi(_form(f, fb), ext)
+    b = b.scale(ext.element(f(*x), f(*y)))
+    assert a.eps == b.eps
+    counts = Counter()
+    _count(monkeypatch, counts, BaseElement, "K")
+    _count(monkeypatch, counts, ExtElement, "L")
+    assert oriented_equivalent(a, b).status == status
+    assert counts["K"] <= k_bound
+    assert counts["L"] <= l_bound

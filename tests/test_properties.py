@@ -1,7 +1,8 @@
 """Property tests drawn by hypothesis: equivalence over Q (random
 discriminants, matrices and scalings, and the integer Q path against the
 generic one in K and L arithmetic), equivalence over real quadratic
-bases with D totally negative against the coordinate box, the box search
+bases with D totally negative against the coordinate box and the integer
+path against the decision in K and L arithmetic it replaced, the box search
 over Q(i) and mixed-sign D against a reference box, the positivity
 conditions of totally negative D, square roots and canonical
 discriminants in K on every base, canonical associates and discriminants
@@ -23,6 +24,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import (  # noqa: E402
+    cm_reference,
     forms_with_disc,
     random_gamma,
     random_oriented_ideal,
@@ -274,6 +276,35 @@ def test_cm_equivalence_agrees_with_the_box(ext, i, j, seed):
     res = oriented_equivalent(a, c)
     assert res.status == EQUIVALENT
     _assert_witness(a, c, res.gamma)
+
+
+SIGN_FLIPS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(CM_EXTS),
+    st.integers(0, 999),
+    st.integers(0, 999),
+    st.integers(1, 12),
+    st.sampled_from(SIGN_FLIPS),
+    st.integers(0, 2**32),
+)
+def test_cm_integer_path_equals_the_reference(ext, i, j, power, flip, seed):
+    # J is another form's ideal (often of another class) or a far multiple
+    # of I, with its orientation flipped by `flip`; the integer path answers
+    # as the decision in elements of K and L did, and its witnesses hold
+    rng = random.Random(seed)
+    forms = _seed_forms(ext)
+    a = transformed_ideal(psi(forms[i % len(forms)], ext), rng)
+    other = transformed_ideal(psi(forms[j % len(forms)], ext), rng)
+    far = a.scale(random_gamma(ext, rng) ** power)
+    for b in (other, far):
+        b = OrientedIdeal(b.basis, tuple(e * s for e, s in zip(b.eps, flip)))
+        res = oriented_equivalent(a, b)
+        assert res.status == cm_reference(a, b).status
+        if res.status == EQUIVALENT:
+            _assert_witness(a, b, res.gamma)
 
 
 # -- the box search over Q(i) and mixed-sign D -------------------------------
