@@ -1,11 +1,11 @@
 """Exact arithmetic in the supported base number fields.
 
-A base K = Q(sqrt m) is defined by m and its fundamental unit.  It must be
-norm-Euclidean by coordinate rounding (the gcd below and the module
-reduction in `ideals` terminate) and have narrow class number one (units of
-every sign pattern exist, which forces N(eps) = -1 on a real base).  The
-registry holds Q, Q(i), Q(sqrt 2), Q(sqrt 5) and Q(sqrt 13); Q(sqrt -2) and
-Q(sqrt -3) are tested but not registered.
+A base K = Q(sqrt m) is defined by m alone; `contfrac` derives its unit.
+It must be norm-Euclidean by coordinate rounding (the gcd below and the
+module reduction in `ideals` terminate) and have narrow class number one
+(units of every sign pattern exist, which forces N(eps) = -1 on a real
+base).  The registry holds Q, Q(i), Q(sqrt 2), Q(sqrt 5) and Q(sqrt 13);
+Q(sqrt -2) and Q(sqrt -3) are tested but not registered.
 
 An element is (n0 + n1*w)/den over the integral basis {1, w}, where w is
 sqrt(m), or (1 + sqrt(m))/2 when m = 1 (mod 4): integers n0, n1
@@ -16,9 +16,10 @@ floating point anywhere.
 """
 
 from fractions import Fraction
-from itertools import count, product
+from itertools import product
 from math import gcd, isqrt, lcm
 
+from .contfrac import _factor_int, _sqrt_mod, fundamental_unit_xy
 from .errors import (
     DivisionByZero,
     DomainError,
@@ -40,7 +41,7 @@ def _rat_sqrt(f: Fraction) -> Fraction | None:
 
 
 class Field:
-    """A base field K, from tag, m and unit coordinates; the rest is derived.
+    """A base field K = Q(sqrt m), from tag and m; the rest is derived.
 
     Attributes:
         tag: registry key ("q", "q_i", "q_sqrt2", "q_sqrt5", "q_sqrt13")
@@ -65,16 +66,19 @@ class Field:
         "roots",
     )
 
-    def __init__(self, tag, m, unit_coords):
+    def __init__(self, tag, m):
         self.tag = tag
         self.m = m
         self.half_omega = m is not None and m % 4 == 1
         self.r = 1 if m is None else 2 if m > 0 else 0
         self.omega_trace = int(self.half_omega)
         self.omega_norm = 0 if m is None else (1 - m) // 4 if self.half_omega else -m
-        unit = None if unit_coords is None else self(*unit_coords)
-        self.fundamental_unit = unit
-        self.unit_norm_sign = None if unit is None else int(unit.norm())
+        self.fundamental_unit = self.unit_norm_sign = None
+        if self.r == 2:
+            d_k = m if self.half_omega else 4 * m  # the discriminant of O_K
+            # the unit (X + Y*sqrt(d_k))/2, over {1, w}
+            X, Y, self.unit_norm_sign = fundamental_unit_xy(d_k)
+            self.fundamental_unit = self((X - Y) // 2 if self.half_omega else X // 2, Y)
         z = self.omega if self.r == 0 and self.omega_norm == 1 else -self.one
         self.roots = (self.one,)
         while self.roots[-1] * z != self.one:
@@ -424,14 +428,14 @@ def _sign_a_plus_b_sqrt(a: int, b: int, m: int) -> int:
 
 REGISTRY: dict[str, Field] = {}
 
-for _tag, _m, _unit in [
-    ("q", None, None),
-    ("q_i", -1, None),
-    ("q_sqrt2", 2, (1, 1)),
-    ("q_sqrt5", 5, (0, 1)),
-    ("q_sqrt13", 13, (1, 1)),
+for _tag, _m in [
+    ("q", None),
+    ("q_i", -1),
+    ("q_sqrt2", 2),
+    ("q_sqrt5", 5),
+    ("q_sqrt13", 13),
 ]:
-    REGISTRY[_tag] = Field(_tag, _m, _unit)
+    REGISTRY[_tag] = Field(_tag, _m)
 
 Q = REGISTRY["q"]
 QI = REGISTRY["q_i"]
@@ -607,111 +611,6 @@ def k_sqrt(x: BaseElement):
     if y is None:
         return None
     return y if y.c1 > 0 or (y.c1 == 0 and y.c0 >= 0) else -y
-
-
-_MR_BOUND = 3317044064679887385961981
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin for odd n without prime factors up to 41.  The first 13
-    primes as bases are exact below _MR_BOUND (Sorenson and Webster, Math.
-    Comp. 86, 2017); a probable prime above it raises DomainError."""
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * odd
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
-        x = pow(a, (n - 1) >> s, n)
-        if x != 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(s)):
-            return False
-    if n >= _MR_BOUND:
-        raise DomainError(f"cannot prove {n} prime")
-    return True
-
-
-def _rho(n: int) -> int:
-    """A proper factor of the odd composite n: Pollard-Brent rho on
-    y -> y^2 + c, c = 1, 2, ..., one gcd per block of steps."""
-    for c in count(1):
-        y, r, g = 2, 1, 1
-        while g == 1:
-            x, ys, r, q = y, y, 2 * r, 1
-            for _ in range(r):
-                y = (y * y + c) % n
-                q = q * (x - y) % n
-            g = gcd(q, n)
-        if g == n:  # the block overshot: step through it again
-            g, y = 1, ys
-            while g == 1:
-                y = (y * y + c) % n
-                g = gcd(x - y, n)
-        if g != n:
-            return g
-
-
-def _iroot(m: int, k: int) -> int:
-    """floor(m^(1/k)) for m >= 1, by integer Newton steps from above."""
-    x = 1 << -(-m.bit_length() // k)  # 2^ceil(bits/k) > m^(1/k)
-    while True:
-        y = ((k - 1) * x + m // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
-def _perfect_power(m: int, least: int):
-    """(root, k) with root^k = m for the least k >= 2, or None, when every
-    prime factor of m is at least `least`: k runs from 2 up to log2 m and
-    stops once the k-th root falls below `least`."""
-    for k in range(2, m.bit_length() + 1):
-        root = _iroot(m, k)
-        if root < least:
-            return None
-        if root ** k == m:
-            return root, k
-    return None
-
-
-def _factor_int(n: int) -> dict[int, int]:
-    """{prime: exponent} of |n|, primes ascending: trial division below
-    1000, then, on the cofactor, exact k-th roots, Miller-Rabin and
-    Pollard-Brent rho."""
-    n = abs(n)
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n and p < 1000:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    stack = [n] if n > 1 else []
-    while stack:  # every factor left is at least p
-        m = stack.pop()
-        if m < p * p:
-            out[m] = out.get(m, 0) + 1
-            continue
-        power = _perfect_power(m, p)
-        if power is not None:  # rho needs about root^(1/2) steps on root^k
-            stack += [power[0]] * power[1]
-        elif _is_prime(m):
-            out[m] = out.get(m, 0) + 1
-        else:
-            f = _rho(m)
-            stack += [f, m // f]
-    return dict(sorted(out.items()))
-
-
-def _sqrt_mod(a: int, p: int) -> int | None:
-    """A square root of a modulo the odd prime p, or None (Tonelli-Shanks)."""
-    a %= p
-    if pow(a, p >> 1, p) > 1:
-        return None
-    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s * q, q odd
-    q = (p - 1) >> s
-    z = next(z for z in count(2) if pow(z, p >> 1, p) == p - 1)
-    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t > 1:  # r^2 = a*t, and t has order 2^i < 2^s
-        i = next(i for i in count(1) if pow(t, 1 << i, p) == 1)
-        b = pow(c, 1 << (s - i - 1), p)
-        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
 
 
 def primes_above(f: Field, ell: int) -> list[BaseElement]:

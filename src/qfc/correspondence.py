@@ -13,7 +13,7 @@ from collections import namedtuple
 
 from .base_field import BaseElement, Field, _orbit_min, k_sqrt
 from .base_field import Q as _Q
-from .contfrac import fundamental_unit
+from .contfrac import _reduced_triples, fundamental_unit
 from .errors import (
     DiscriminantMismatch,
     DiscriminantNotInClass,
@@ -25,7 +25,7 @@ from .errors import (
     SquareInput,
 )
 from .extension import Extension, ExtElement, make_extension
-from .forms import QuadraticForm, _int_over_q, _reduced_triples, count_cycles_q
+from .forms import QuadraticForm, _int_over_q, count_cycles_q
 from .ideals import IdealBasis, OrientedIdeal, ideal_mul
 
 

@@ -7,18 +7,19 @@ determinant-1 equivalence.  Class identity over quadratic base fields is
 certified through the ideal side; here we provide the transformations,
 automorphs, witness verification, and the classical reduction, class
 enumeration and cycle count over Q (which serve as oracles for the
-correspondence and give the class numbers of the structure reports).
+correspondence and give the class numbers of the structure reports) as
+QuadraticForm wrappers of the integer core in `contfrac`.
 """
 
 from itertools import combinations
-from math import gcd, isqrt
+from math import gcd
 
 from .base_field import BaseElement, Field
 from .base_field import Q as _Q
+from .contfrac import _count_cycles, _proper_matrix, _reduce, _reduced_triples
 from .errors import (
     DiscriminantMismatch,
     DiscriminantNotTotallyNegative,
-    DomainError,
     IndefiniteForm,
     InvalidTransformation,
     NotAUnit,
@@ -233,41 +234,6 @@ def _as_int_form(q: QuadraticForm):
     return q.a.n0, q.b.n0, q.c.n0  # integral, so den = 1
 
 
-def _is_reduced(form, d, s):
-    """d < 0: -|a| < b <= |a| <= |c|, and b >= 0 if a = c; one form per
-    proper class of positive, and of negative, definite forms.  d > 0:
-    0 < b < sqrt(d) and sqrt(d) - b < 2|a| < sqrt(d) + b, which with
-    s = isqrt(d) read b <= s and s - b < 2|a| <= s + b, exactly.  It stops
-    _reduce and selects the members of count_cycles_q; the loop bounds of
-    _reduced_triples meet it by construction."""
-    a, b, c = form
-    if d < 0:
-        return -abs(a) < b <= abs(a) <= abs(c) and (b >= 0 or a != c)
-    return 0 < b <= s and s - b < 2 * abs(a) <= s + b
-
-
-def _rho(form, mat, d, s):
-    """One reduction step (a, b, c) -> (c, b', (b'^2 - d)/4c), which is the
-    form composed with (0, -1; 1, t), and mat right-multiplied by the same
-    matrix.  b' = -b mod 2|c| lies in (-|c|, |c|] for d < 0 or |c| > sqrt(d),
-    and is the largest such integer below sqrt(d) otherwise; s = isqrt(d)."""
-    a, b, c = form
-    top = abs(c) if d < 0 or abs(c) > s else s
-    b2 = top - (top + b) % (2 * abs(c))
-    t = (b + b2) // (2 * c)
-    p, q, r, u = mat
-    return (c, b2, (b2 * b2 - d) // (4 * c)), (q, t * q - p, u, t * u - r)
-
-
-def _reduce(form, d, s):
-    """The reduced form reached from form by rho steps, and the matrix T of
-    determinant 1 with form o T equal to it."""
-    mat = (1, 0, 0, 1)
-    while not _is_reduced(form, d, s):
-        form, mat = _rho(form, mat, d, s)
-    return form, mat
-
-
 def reduce_form_q(q: QuadraticForm) -> QuadraticForm:
     """The unique reduced representative of a definite form over Q, positive
     or negative definite."""
@@ -288,37 +254,6 @@ def proper_equivalence(f: QuadraticForm, g: QuadraticForm):
     return None if mat is None else Transformation(f.field, *mat)
 
 
-def _proper_matrix(fi, gi):
-    """proper_equivalence on integer coefficient triples: the matrix
-    (p, q, r, s) of determinant 1 with fi o T = gi, checked, or None."""
-    d = fi[1] * fi[1] - 4 * fi[0] * fi[2]
-    if gi[1] * gi[1] - 4 * gi[0] * gi[2] != d:
-        raise DiscriminantMismatch("forms of different discriminants")
-    if d > 0 and isqrt(d) ** 2 == d:
-        raise ValueError("proper equivalence needs a non-square discriminant")
-    s = isqrt(d) if d > 0 else 0
-    f_red, m = _reduce(fi, d, s)
-    g_red, n = _reduce(gi, d, s)
-    form = f_red
-    while form != g_red:
-        form, m = _rho(form, m, d, s)
-        if d < 0 or form == f_red:
-            return None
-    # f o m = g o n, so T = m n^-1
-    p, q, r, u = m
-    p2, q2, r2, u2 = n
-    tp, tq, tr, ts = p * u2 - q * r2, q * p2 - p * q2, r * u2 - u * r2, u * p2 - r * q2
-    a, b, c = fi
-    image = (
-        a * tp * tp + b * tp * tr + c * tr * tr,
-        2 * a * tp * tq + b * (tp * ts + tq * tr) + 2 * c * tr * ts,
-        a * tq * tq + b * tq * ts + c * ts * ts,
-    )
-    if image != gi:
-        raise DomainError("proper equivalence witness failed verification")
-    return tp, tq, tr, ts
-
-
 def _int_over_q(d, wrong_base: str, not_integral: str = "d must be an integer") -> int:
     """d, an int, a Fraction or an element of Q, as an int; an element of
     another base raises WrongBase(wrong_base), a non-integer NotIntegral."""
@@ -331,33 +266,9 @@ def _int_over_q(d, wrong_base: str, not_integral: str = "d must be an integer") 
     return int(d)
 
 
-def _reduced_triples(d: int) -> list[tuple[int, int, int]]:
-    """The coefficients (a, b, c) of enumerate_classes_q(d), as sorted
-    integer triples, for an int d < 0 with d = 0 or 1 mod 4; ocl_structure_q
-    counts them without building forms."""
-    out = []
-    for b in range(d % 2, isqrt(-d // 3) + 1, 2):
-        q = (b * b - d) // 4
-        for a in range(max(b, 1), isqrt(q) + 1):
-            if q % a == 0:
-                c = q // a
-                if gcd(a, b, c) == 1:
-                    out.append((a, b, c))
-                    if 0 < b < a < c:
-                        out.append((a, -b, c))
-    out.sort()
-    return out
-
-
 def enumerate_classes_q(d) -> list[QuadraticForm]:
     """All reduced primitive positive definite forms of discriminant d < 0
-    over Q, sorted lexicographically on (a, b, c).
-
-    Enumerated by b first (Cohen, GTM 138, Alg. 5.3.5): b runs over
-    0 <= b <= sqrt(-d/3) with b = d mod 2, a over the divisors of
-    q = (b^2 - d)/4 with b <= a <= sqrt(q), and c = q/a.  Each primitive
-    (a, b, c) found is reduced, and so is (a, -b, c) when 0 < b < a < c.
-    """
+    over Q, sorted lexicographically on (a, b, c), from _reduced_triples."""
     d = _int_over_q(d, "class enumeration is implemented over Q only")
     if d >= 0:
         raise IndefiniteForm("class enumeration needs d < 0")
@@ -367,34 +278,5 @@ def enumerate_classes_q(d) -> list[QuadraticForm]:
 
 
 def count_cycles_q(d) -> int:
-    """Number of cycles of reduced primitive indefinite forms of
-    discriminant d > 0 over Q, which is the narrow class number h+.
-
-    The step rho permutes the reduced forms, and its cycles are the proper
-    equivalence classes (Buchmann & Vollmer, ch. 6; Cohen, GTM 138, 5.6).
-    """
-    d = _int_over_q(d, "cycle counting is implemented over Q only")
-    if d <= 0 or isqrt(d) ** 2 == d:
-        raise ValueError("cycle counting needs a positive non-square d")
-    s = isqrt(d)
-    if d % 4 not in (0, 1):
-        return 0
-    reduced = set()
-    for b in range(2 - d % 2, s + 1, 2):
-        n = (d - b * b) // 4  # = -a c
-        # a reduced form has s - b < 2a <= s + b
-        for a in range((s - b) // 2 + 1, (s + b) // 2 + 1):
-            if n % a == 0:
-                c = n // a
-                if _is_reduced((a, b, -c), d, s) and gcd(gcd(a, b), c) == 1:
-                    reduced.add((a, b, -c))
-                    reduced.add((-a, b, c))
-    cycles = 0
-    while reduced:
-        start = reduced.pop()
-        form, _ = _rho(start, (1, 0, 0, 1), d, s)
-        while form != start:
-            reduced.remove(form)
-            form, _ = _rho(form, (1, 0, 0, 1), d, s)
-        cycles += 1
-    return cycles
+    """The narrow class number h+ of d > 0 over Q, by _count_cycles."""
+    return _count_cycles(_int_over_q(d, "cycle counting is implemented over Q only"))

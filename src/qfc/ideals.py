@@ -23,6 +23,7 @@ from itertools import product
 from math import gcd, lcm
 
 from .base_field import BaseElement, _elem, _gcd_core, canonical_associate
+from .contfrac import _proper_matrix
 from .errors import (
     DegenerateBasis,
     DomainError,
@@ -32,7 +33,6 @@ from .errors import (
     RankDeficient,
 )
 from .extension import ExtElement, Extension
-from .forms import _proper_matrix
 from .lattice import hnf, lll_gram, short_vectors
 
 

@@ -30,8 +30,8 @@ BASE_TAGS = ("q", "q_i", "q_sqrt2", "q_sqrt5", "q_sqrt13")
 
 # two bases outside the registry, defined by m alone: Q(sqrt -2), whose roots
 # of unity are +-1, and Q(sqrt -3), where w = zeta_6
-QM2 = Field("q_m2", -2, None)
-QM3 = Field("q_m3", -3, None)
+QM2 = Field("q_m2", -2)
+QM3 = Field("q_m3", -3)
 
 
 @pytest.fixture

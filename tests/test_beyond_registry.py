@@ -207,13 +207,13 @@ def test_fields_are_told_apart_by_m():
     from qfc import REGISTRY
     from qfc.base_field import Field
 
-    f2, f3 = Field("t", -2, None), Field("t", -3, None)
+    f2, f3 = Field("t", -2), Field("t", -3)
     assert f2 != f3 and hash(f2) != hash(f3)
     e2, e3 = make_extension(f2, f2(5)), make_extension(f3, f3(5))
     assert (e2.base, e3.base) == (f2, f3)
     assert e2.base is f2 and e3.base is f3
     assert e2 != e3 and e2 is make_extension(f2, f2(5))
     assert e3.element(f3(1, 1)).x.field is f3
-    twin = Field("twin", 2, (1, 1))
+    twin = Field("twin", 2)
     assert twin == REGISTRY["q_sqrt2"] and hash(twin) == hash(REGISTRY["q_sqrt2"])
     assert make_extension(twin, twin(5)).base is twin

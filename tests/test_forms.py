@@ -32,7 +32,7 @@ from qfc import (
     root_transport_check,
     verify_equivalence_witness,
 )
-from qfc.forms import _is_reduced
+from qfc.contfrac import _is_reduced
 
 QI = field("q_i")
 QS2 = field("q_sqrt2")

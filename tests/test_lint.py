@@ -128,10 +128,10 @@ def test_no_floating_point():
 # before it, and errors and lattice import nothing from the library
 LAYERS = [
     "errors",
+    "contfrac",
     "base_field",
     "extension",
     "forms",
-    "contfrac",
     "lattice",
     "ideals",
     "correspondence",
