@@ -1,11 +1,12 @@
 """Exact arithmetic in the supported base number fields.
 
 A base K = Q(sqrt m) is defined by m alone; `contfrac` derives its unit.
-It must be norm-Euclidean by coordinate rounding (the gcd below and the
-module reduction in `ideals` terminate) and have narrow class number one
-(units of every sign pattern exist, which forces N(eps) = -1 on a real
-base).  The registry holds Q, Q(i), Q(sqrt 2), Q(sqrt 5) and Q(sqrt 13);
-Q(sqrt -2) and Q(sqrt -3) are tested but not registered.
+It must have narrow class number one (units of every sign pattern exist,
+which forces N(eps) = -1 on a real base), which `Field` checks, and be
+norm-Euclidean by coordinate rounding (the gcd below and the module
+reduction in `ideals` terminate), which nothing checks yet.  The registry
+holds Q, Q(i), Q(sqrt 2), Q(sqrt 5) and Q(sqrt 13); Q(sqrt -2) and
+Q(sqrt -3) are tested but not registered.
 
 An element is (n0 + n1*w)/den over the integral basis {1, w}, where w is
 sqrt(m), or (1 + sqrt(m))/2 when m = 1 (mod 4): integers n0, n1
@@ -19,7 +20,8 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm
 
-from .contfrac import _factor_int, _sqrt_mod, fundamental_unit_xy
+from .contfrac import _count_cycles, _factor_int, _reduced_triples, _sqrt_mod
+from .contfrac import fundamental_unit_xy
 from .errors import (
     DivisionByZero,
     DomainError,
@@ -42,6 +44,14 @@ def _rat_sqrt(f: Fraction) -> Fraction | None:
 
 class Field:
     """A base field K = Q(sqrt m), from tag and m; the rest is derived.
+
+    m is None for Q, else a square-free integer other than 0 and 1, and K
+    must have narrow class number one, the paper's hypothesis.  The core
+    checks it on the discriminant d_K of O_K (m, or 4m unless m = 1 mod 4):
+    one rho-cycle of reduced forms for real K, one reduced form for
+    imaginary K; otherwise DomainError.  The fundamental unit of a real K
+    is fundamental_unit_xy(d_K).  Norm-Euclidean rounding, which the gcd
+    needs, is still unchecked: m = -19 builds a field, but its gcd can loop.
 
     Attributes:
         tag: registry key ("q", "q_i", "q_sqrt2", "q_sqrt5", "q_sqrt13")
@@ -74,11 +84,17 @@ class Field:
         self.omega_trace = int(self.half_omega)
         self.omega_norm = 0 if m is None else (1 - m) // 4 if self.half_omega else -m
         self.fundamental_unit = self.unit_norm_sign = None
-        if self.r == 2:
+        if m is not None:
+            if m in (0, 1) or max(_factor_int(m).values(), default=1) > 1:
+                raise DomainError("m must be a square-free integer other than 0 and 1")
             d_k = m if self.half_omega else 4 * m  # the discriminant of O_K
-            # the unit (X + Y*sqrt(d_k))/2, over {1, w}
-            X, Y, self.unit_norm_sign = fundamental_unit_xy(d_k)
-            self.fundamental_unit = self((X - Y) // 2 if self.half_omega else X // 2, Y)
+            h = _count_cycles(d_k) if m > 0 else len(_reduced_triples(d_k))
+            if h != 1:
+                raise DomainError(f"K must have narrow class number one, not {h}")
+            if m > 0:
+                # the unit (X + Y*sqrt(d_k))/2, over {1, w}
+                X, Y, self.unit_norm_sign = fundamental_unit_xy(d_k)
+                self.fundamental_unit = self((X - Y) // 2 if self.half_omega else X // 2, Y)
         z = self.omega if self.r == 0 and self.omega_norm == 1 else -self.one
         self.roots = (self.one,)
         while self.roots[-1] * z != self.one:

@@ -183,17 +183,30 @@ def _is_prime(n: int) -> bool:
         if x != 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(s)):
             return False
     if n >= _MR_BOUND:
-        raise DomainError(f"cannot prove {n} prime")
+        raise DomainError(f"cannot prove a {n.bit_length()}-bit integer prime")
     return True
+
+
+# rho needs about p^(1/2) steps to find a prime factor p: 2^22 steps, 2-3 s
+# on a 127-bit n, split products of two 12-digit primes and most of 13 digits
+_RHO_STEPS = 1 << 22
 
 
 def _pollard_rho(n: int) -> int:
     """A proper factor of the odd composite n: Pollard-Brent rho on
-    y -> y^2 + c, c = 1, 2, ..., one gcd per block of steps."""
+    y -> y^2 + c, c = 1, 2, ..., one gcd per block of steps.  The blocks of
+    all c together take at most _RHO_STEPS steps, then DomainError."""
+    steps = 0
     for c in count(1):
         y, r, g = 2, 1, 1
         while g == 1:
             x, ys, r, q = y, y, 2 * r, 1
+            steps += r
+            if steps > _RHO_STEPS:
+                raise DomainError(
+                    f"cannot factor a {n.bit_length()}-bit integer"
+                    f" in {_RHO_STEPS} rho steps"
+                )
             for _ in range(r):
                 y = (y * y + c) % n
                 q = q * (x - y) % n

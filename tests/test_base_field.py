@@ -391,8 +391,106 @@ class TestFactorInt:
         with pytest.raises(DomainError):
             is_fundamental(Q(4 * (2**89 - 1)))
 
+    def test_rho_step_budget(self, capsys, monkeypatch):
+        import json
+
+        import qfc.contfrac
+        from qfc import DomainError
+        from qfc.base_field import _factor_int
+        from qfc.cli import main
+
+        # rho needs about 3*10^4 steps on this product of two 10-digit
+        # primes, n = 1 (mod 4); with 1000 steps it gives up
+        n = 1000000009 * 1000000021
+        monkeypatch.setattr(qfc.contfrac, "_RHO_STEPS", 1000)
+        with pytest.raises(DomainError, match="60-bit integer"):
+            _factor_int(n)
+        assert main(["fundcheck", "--base", "q", "--d", str(n), "--format", "json"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "domain_error"
+        monkeypatch.undo()
+        assert _factor_int(n) == {1000000009: 1, 1000000021: 1}
+
+    def test_messages_give_sizes_in_bits(self, monkeypatch):
+        import sys
+
+        import qfc.contfrac
+        from qfc import DomainError
+        from qfc.contfrac import _is_prime, _pollard_rho
+
+        # f"{n}" raises ValueError past sys.get_int_max_str_digits() digits,
+        # so neither message prints n; 2^2203 - 1 and 2^2281 - 1 are prime,
+        # of 664 and 687 digits
+        p, q = 2**2203 - 1, 2**2281 - 1
+        monkeypatch.setattr(qfc.contfrac, "_RHO_STEPS", 64)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(DomainError, match="a 2203-bit integer prime"):
+                _is_prime(p)
+            with pytest.raises(DomainError, match="a 4484-bit integer in 64 rho"):
+                _pollard_rho(p * q)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+class TestFieldFromM:
+    """`Field(tag, m)`: the hypothesis checked, the unit derived."""
+
+    # narrow class number one, by the cycle count or the reduced forms of d_K
+    NARROW_ONE = (-1, -2, -3, -7, -11, -19, -43, -67, -163,
+                  2, 5, 13, 17, 29, 37, 41, 53, 61, 73, 89)
+
+    def test_outside_the_hypothesis_raises(self):
+        from qfc import DomainError
+        from qfc.base_field import Field
+
+        # h+ = 2 at -5, -15, 3, 10 and 4 at 34; 8, 0 and 1 are not square-free
+        # integers other than 0 and 1
+        for m in (-5, -15, 3, 10, 34, 8, 0, 1):
+            with pytest.raises(DomainError):
+                Field("x", m)
+
+    def test_narrow_class_number_one_builds(self):
+        from qfc.base_field import Field
+
+        for m in self.NARROW_ONE:
+            f = Field("x", m)
+            assert f.m == m and (f.fundamental_unit is None) == (m < 0)
+
+    def test_real_units(self):
+        from qfc.base_field import Field
+        from qfc.contfrac import fundamental_unit_xy
+
+        for m in (m for m in self.NARROW_ONE if m > 0):
+            f = Field("x", m)
+            d_k = m if m % 4 == 1 else 4 * m
+            X, Y, norm = fundamental_unit_xy(d_k)
+            eps = f.fundamental_unit
+            # (X + Y*sqrt(d_k))/2 over {1, w}, where w = (1 + sqrt m)/2 or sqrt m
+            assert eps == (f((X - Y) // 2, Y) if m % 4 == 1 else f(X // 2, Y)), m
+            assert eps.trace() == X and (eps - eps.conj()) ** 2 == Y * Y * d_k, m
+            assert eps.norm() == norm == f.unit_norm_sign == -1, m
+            assert (eps - 1).sign_at(0) == 1, m
+
 
 class TestRegistryConfig:
+    def test_config_literal(self):
+        from qfc.base_field import registry_config
+
+        # the units are derived from m, and read as the registry stated them
+        assert registry_config() == {
+            "q": {"m": None, "omega_kind": "sqrt", "real_embeddings": 1,
+                  "fundamental_unit": None, "unit_norm_sign": None},
+            "q_i": {"m": -1, "omega_kind": "sqrt", "real_embeddings": 0,
+                    "fundamental_unit": None, "unit_norm_sign": None},
+            "q_sqrt2": {"m": 2, "omega_kind": "sqrt", "real_embeddings": 2,
+                        "fundamental_unit": ["1", "1"], "unit_norm_sign": -1},
+            "q_sqrt5": {"m": 5, "omega_kind": "half", "real_embeddings": 2,
+                        "fundamental_unit": ["0", "1"], "unit_norm_sign": -1},
+            "q_sqrt13": {"m": 13, "omega_kind": "half", "real_embeddings": 2,
+                         "fundamental_unit": ["1", "1"], "unit_norm_sign": -1},
+        }
+
     def test_readable_config(self):
         from qfc.base_field import registry_config
 

@@ -1,7 +1,8 @@
 """Phi/Psi, composition, round trips, sign conditions, structure reports."""
 
 from fractions import Fraction
-from math import isqrt
+from itertools import count
+from math import gcd, isqrt
 
 import pytest
 
@@ -289,6 +290,89 @@ class TestCompose:
                 assert ia.scale(gamma[0]).basis.same_module(
                     ib.scale(gamma[1]).basis
                 ) or oriented_equivalent(ia, ib, 3).status == EQUIVALENT
+
+
+def _gauss_reduced(a, b, c):
+    """The reduced form of the positive definite (a, b, c) over Z: shift b
+    into (-a, a] by x -> x + ky, swap a and c while a > c, or a = c and
+    b < 0."""
+    while True:
+        k = (a - b) // (2 * a)
+        b, c = b + 2 * k * a, a * k * k + b * k + c
+        if a < c or (a == c and b >= 0):
+            return a, b, c
+        a, b, c = c, -b, a
+
+
+def _dirichlet(f, g):
+    """Dirichlet composition of two primitive forms of one discriminant D.
+
+    g is first moved in its class to a form with leading coefficient prime
+    to a1, g(k, 1) or g(1, k).  A primitive g takes such values on one of
+    the two lines: mod an odd prime neither is zero for every k, and mod 2
+    both are only if a, b and c are even.  With
+    gcd(a1, a2) = 1 the united middle coefficient B = b1 (mod 2 a1) and
+    B = b2 (mod 2 a2) has B^2 = D (mod 4 a1 a2), and the composite is
+    (a1 a2, B, (B^2 - D)/4 a1 a2).
+    """
+    a1, b1, c1 = f
+    a, b, c = g
+    d = b1 * b1 - 4 * a1 * c1
+    moved = (
+        ((a * k * k + b * k + c, -2 * a * k - b, a),  # g(kx - y, x)
+         (a + b * k + c * k * k, b + 2 * c * k, c))  # g(x, kx + y)
+        for k in count()
+    )
+    a2, b2, c2 = next(h for pair in moved for h in pair if gcd(a1, h[0]) == 1)
+    t = (b2 - b1) // 2 * pow(a1, -1, a2) % a2 if a2 > 1 else 0
+    big_b = b1 + 2 * a1 * t
+    return a1 * a2, big_b, (big_b * big_b - d) // (4 * a1 * a2)
+
+
+def _random_primitive_form(rng, d):
+    """A primitive positive definite form of discriminant d < 0, moved off
+    its reduced representative by a random unimodular change of variables."""
+    while True:
+        b = rng.randrange(d % 2, isqrt(-d) + 1, 2)
+        n = (b * b - d) // 4
+        a = rng.choice([a for a in range(1, isqrt(n) + 1) if n % a == 0])
+        if gcd(a, b, n // a) == 1:
+            break
+    c = n // a
+    for _ in range(rng.randint(1, 4)):
+        k = rng.randint(-3, 3)
+        a, b, c = a, b + 2 * k * a, a * k * k + b * k + c  # x -> x + ky
+        a, b, c = c, -b, a  # (x, y) -> (-y, x)
+    return a, b, c
+
+
+def _is_fundamental_neg(d):
+    """Whether d < 0 is a fundamental discriminant."""
+    m = d if d % 4 == 1 else d // 4
+    if d % 4 == 0 and m % 4 not in (2, 3):
+        return False
+    return d % 4 in (0, 1) and all(m % (p * p) for p in range(2, isqrt(-m) + 1))
+
+
+class TestComposeAgainstDirichlet:
+    def test_reduced_composite_over_q(self, rng):
+        # the differential oracle over Q: phi(psi(f) psi(g)), reduced, is
+        # Dirichlet composition followed by Gauss reduction, both written
+        # here on plain integers
+        discs = [d for d in range(-2999, 0) if _is_fundamental_neg(d)]
+        for _ in range(60):
+            d = rng.choice(discs)
+            f, g = _random_primitive_form(rng, d), _random_primitive_form(rng, d)
+            got = reduce_form_q(compose(QuadraticForm(Q, *f), QuadraticForm(Q, *g)))
+            want = _gauss_reduced(*_dirichlet(f, g))
+            assert (got.a, got.b, got.c) == want, (d, f, g)
+
+    def test_oracle_moves_g(self):
+        # every g(k, 1) = 3k^2 + k + 2 is even and a1 = 6, so the oracle
+        # moves g to g(x, kx + y), first at k = 2
+        f, g = (6, 1, 1), (3, 1, 2)
+        got = reduce_form_q(compose(QuadraticForm(Q, *f), QuadraticForm(Q, *g)))
+        assert (got.a, got.b, got.c) == _gauss_reduced(*_dirichlet(f, g))
 
 
 def _associativity_witness(ext, q1, q2, q3):

@@ -124,6 +124,17 @@ def test_no_floating_point():
     assert found == []
 
 
+def test_no_name_defined_twice():
+    # a top-level function or class is defined in one module, which the
+    # others import by name; two definitions of one name drift apart
+    where = {}
+    for name, tree in _trees():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                where.setdefault(node.name, []).append(name)
+    assert {k: v for k, v in where.items() if len(v) > 1} == {}
+
+
 # the library's modules from the bottom up: each imports only modules listed
 # before it, and errors and lattice import nothing from the library
 LAYERS = [
